@@ -41,7 +41,7 @@ class ModelConfig:
     l_out: int = 24
 
     def __post_init__(self):
-        if self.d_model % self.heads != 0:
+        if self.heads < 1 or self.d_model % self.heads != 0:
             raise ConfigurationError(
                 f"d_model={self.d_model} not divisible by heads={self.heads}"
             )
@@ -205,19 +205,26 @@ def analytic_scaling(sizes=(64, 256, 1024, 4096, 16384)) -> dict:
 def measure_wallclock(
     sizes=(1024, 4096, 16384), d: int = 64, repeats: int = 5, seed: int = 0
 ) -> dict:
-    """Median wall-clock seconds of a factored apply at each size, plus slope."""
+    """Median wall-clock seconds of a factored apply at each size, plus slope.
+
+    The sizes are timed in interleaved rounds, so a change in machine load
+    during the run reaches every size alike instead of skewing their ratio.
+    Each timed apply follows two untimed ones at the same size: the first
+    applies after a switch of size, and in a fresh process, run several times
+    slower.
+    """
     rng = np.random.default_rng(seed)
-    medians = []
-    for n in sizes:
-        m = monarch_new(n, rng=rng, requires_grad=False)
-        x = Tensor(rng.standard_normal((n, d)))
-        monarch_apply(m, x, "left")  # warm-up
-        times = []
-        for _ in range(repeats):
+    cases = [(monarch_new(n, rng=rng, requires_grad=False), Tensor(rng.standard_normal((n, d))))
+             for n in sizes]
+    times: list[list[float]] = [[] for _ in sizes]
+    for _ in range(repeats):
+        for (m, x), ts in zip(cases, times):
+            for _ in range(2):
+                monarch_apply(m, x, "left")
             t0 = time.perf_counter()
             monarch_apply(m, x, "left")
-            times.append(time.perf_counter() - t0)
-        medians.append(float(np.median(times)))
+            ts.append(time.perf_counter() - t0)
+    medians = [float(np.median(ts)) for ts in times]
     return {
         "sizes": list(sizes),
         "d": d,

@@ -8,6 +8,7 @@ environment variable, then to 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -30,23 +31,47 @@ def _resolve_seed(args) -> int:
     return 0
 
 
+DATA_DEFAULTS = {"samples": 480, "period": 24.0, "amplitude": 1.0,
+                 "noise_std": 0.0, "l_in": 48, "l_out": 24}
+# the keys each --config section may set, with defaults that give their types;
+# seed and variant come from the command line only
+CONFIG_DEFAULTS = {
+    "model": dataclasses.asdict(bench.ModelConfig()),
+    "train": {k: v for k, v in dataclasses.asdict(TrainConfig()).items()
+              if k not in ("seed", "variant")},
+    "data": DATA_DEFAULTS,
+}
+
+
 def _load_config(args) -> dict:
     if not args.config:
         return {}
     with open(args.config) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"config file {args.config} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigurationError(f"config file {args.config} must hold a JSON object")
+    for section, values in cfg.items():
+        defaults = CONFIG_DEFAULTS.get(section)
+        if defaults is None:
+            raise ConfigurationError(
+                f"unknown config section {section!r}, expected one of {sorted(CONFIG_DEFAULTS)}")
+        if not isinstance(values, dict):
+            raise ConfigurationError(f"config section {section!r} must be a JSON object")
+        unknown = set(values) - set(defaults)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown {section} config keys: {sorted(unknown)}; allowed: {sorted(defaults)}")
+        for key, value in values.items():
+            if isinstance(defaults[key], float):
+                ok, kind = isinstance(value, (int, float)), "a number"
+            else:  # integer keys are counts and sizes
+                ok, kind = isinstance(value, int) and value >= 1, "a positive integer"
+            if isinstance(value, bool) or not ok:
+                raise ConfigurationError(f"{section}.{key} must be {kind}, got {value!r}")
     return cfg
-
-
-def _model_config(overrides: dict) -> bench.ModelConfig:
-    allowed = {"d_model", "heads", "n_seq", "layers", "d_ff", "l_out"}
-    model = overrides.get("model", {})
-    unknown = set(model) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown model config keys: {sorted(unknown)}")
-    return bench.ModelConfig(**model)
 
 
 def _emit(args, rep: dict) -> None:
@@ -85,7 +110,7 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     seed = _resolve_seed(args)
     overrides = _load_config(args)
-    cfg = _model_config(overrides)
+    cfg = bench.ModelConfig(**overrides.get("model", {}))
     rep = report_mod.new_report({"seed": seed, "model": cfg.__dict__})
     status = 0
     if args.what == "params":
@@ -120,9 +145,7 @@ def cmd_bench(args) -> int:
 def cmd_train(args) -> int:
     seed = _resolve_seed(args)
     overrides = _load_config(args)
-    data_cfg = {"samples": 480, "period": 24.0, "amplitude": 1.0,
-                "noise_std": 0.0, "l_in": 48, "l_out": 24}
-    data_cfg.update(overrides.get("data", {}))
+    data_cfg = {**DATA_DEFAULTS, **overrides.get("data", {})}
     l_in, l_out = data_cfg.pop("l_in"), data_cfg.pop("l_out")
     series = SineSpec(seed=seed, **data_cfg).generate()
     dataset = build_dataset(series, l_in, l_out)

@@ -2,9 +2,12 @@
 
 A Monarch matrix of size n (a perfect square, block size b = sqrt(n)) is the
 product P . L . P . R . P of a fixed grid-transpose permutation P and two
-learnable block-diagonal factors.  The factored apply never materializes the
-dense matrix and costs O(n^{3/2}) per column; a dense conversion exists for
-test oracles only.
+learnable block-diagonal factors.  The factored apply views its operand as a
+(b, b, d) stack, so P is a swap of the two grid axes and each factor is one
+batched matmul; the whole apply is a single tape node with a hand-written
+backward, and the right apply is the left apply of the transpose.  It never
+materializes the dense matrix and costs O(n^{3/2}) per column; a dense
+conversion exists for test oracles only.
 """
 
 from __future__ import annotations
@@ -54,16 +57,10 @@ def permutation_spec(n: int) -> PermutationSpec:
 
 @dataclass
 class SquarePadding:
-    """Zero-pad to the next perfect square and truncate back."""
+    """A size n and the perfect square n_pad it is zero-padded to."""
 
     n: int
     n_pad: int
-
-    def lift(self, x: Tensor, axis: int = 0) -> Tensor:
-        return T.pad_axis(x, self.n_pad, axis)
-
-    def project(self, x: Tensor, axis: int = 0) -> Tensor:
-        return T.slice_axis(x, self.n, axis)
 
 
 def pad_to_square(n: int) -> SquarePadding:
@@ -86,11 +83,6 @@ class FlopMeter:
 
     def add(self, muladds: int) -> None:
         self.muladds += muladds
-
-    @property
-    def flops(self) -> int:
-        # convention used package-wide: one multiply-add = 2 FLOPs
-        return 2 * self.muladds
 
 
 flop_meter = FlopMeter()
@@ -202,32 +194,55 @@ def monarch_to_dense(m: MonarchMatrix) -> np.ndarray:
     return (ldense[h][:, h] @ rdense)[:, h]
 
 
+def _grid_t(a: np.ndarray) -> np.ndarray:
+    """P on a (b, b, d) stack: swap the two grid axes, as a contiguous copy.
+
+    Contiguous operands keep every batched matmul on the same BLAS path, so
+    the rounding does not depend on which side the apply came from.
+    """
+    return np.ascontiguousarray(a.transpose(1, 0, 2))
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose the last two axes: a matrix, or each block of a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
 def monarch_apply(m: MonarchMatrix, x: Tensor, side: str) -> Tensor:
-    """Factored five-step apply; differentiable through both block stacks.
+    """Factored apply as one tape node; differentiable in x and both block stacks.
 
     side 'left' computes dense(M) @ x for x of shape (n, d); side 'right'
-    computes x @ dense(M) for x of shape (d, n).
+    computes x @ dense(M) for x of shape (d, n) as the left apply of x^T with
+    the transposed Monarch, dense(M)^T = P.R^T.P.L^T.P.  On the (b, b, d)
+    stack of columns both sides run the same code: grid transpose, batched
+    matmul with the first factor, grid transpose, batched matmul with the
+    second factor, grid transpose.
     """
-    h = m.perm.map
-    if side == "left":
-        if x.data.ndim != 2 or x.shape[0] != m.n:
-            raise DimensionError(f"left apply: x has {x.shape[0]} rows, Monarch size is {m.n}")
-        d = x.data.size // m.n
-        y = T.permute_rows(x, h, h)
-        y = T.block_diag_lmul(m.right, y)
-        y = T.permute_rows(y, h, h)
-        y = T.block_diag_lmul(m.left, y)
-        y = T.permute_rows(y, h, h)
-    elif side == "right":
-        if x.data.ndim != 2 or x.shape[1] != m.n:
-            raise DimensionError(f"right apply: x has shape {x.shape}, Monarch size is {m.n}")
-        d = x.shape[0]
-        y = T.permute_cols(x, h, h)
-        y = T.block_diag_rmul(y, m.left)
-        y = T.permute_cols(y, h, h)
-        y = T.block_diag_rmul(y, m.right)
-        y = T.permute_cols(y, h, h)
-    else:
+    if side not in ("left", "right"):
         raise ConfigurationError(f"side must be 'left' or 'right', got {side!r}")
-    flop_meter.add(monarch_apply_muladds(m.n, d))
-    return y
+    flip = side == "right"
+    orient = _t if flip else (lambda a: a)
+    if x.data.ndim != 2 or orient(x.data).shape[0] != m.n:
+        raise DimensionError(f"{side} apply: x has shape {x.shape}, Monarch size is {m.n}")
+    cols = orient(x.data)  # (n, d): the columns the Monarch acts on
+    n, b, d = m.n, m.b, cols.shape[1]
+    # P.L.P.R.P applies R first; its transpose P.R^T.P.L^T.P applies L^T first
+    first, second = (m.left, m.right) if flip else (m.right, m.left)
+    f, s = orient(first.data), orient(second.data)
+    z = _grid_t(cols.reshape(b, b, d))
+    u = _grid_t(np.matmul(f, z))
+    y = _grid_t(np.matmul(s, u)).reshape(n, d)
+    out = Tensor(np.ascontiguousarray(orient(y)))
+
+    def bwd(g):
+        gv = _grid_t(orient(g).reshape(b, b, d))
+        if T._wants_grad(second):
+            second.accumulate_grad(orient(np.matmul(gv, _t(u))))
+        gu = _grid_t(np.matmul(_t(s), gv))
+        if T._wants_grad(first):
+            first.accumulate_grad(orient(np.matmul(gu, _t(z))))
+        if T._wants_grad(x):
+            x.accumulate_grad(orient(_grid_t(np.matmul(_t(f), gu)).reshape(n, d)))
+
+    flop_meter.add(monarch_apply_muladds(n, d))
+    return T._record(out, bwd, x, first, second)

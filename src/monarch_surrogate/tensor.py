@@ -2,8 +2,8 @@
 
 Every primitive is a pure function of its inputs.  When a tape is active,
 applications are recorded in execution order and ``backward`` replays them
-in reverse, accumulating gradients in the fixed tape order so repeated runs
-are bit-identical.
+once, in reverse, accumulating gradients in the fixed tape order so repeated
+runs on fresh tapes are bit-identical.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        if g.shape != self.data.shape:
+            raise DimensionError(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -55,6 +54,7 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[Tensor] = []
+        self._replayed = False
 
     def record(self, out: Tensor, backward: Callable[[np.ndarray], None]) -> None:
         out._backward = backward
@@ -69,6 +69,10 @@ class Tape:
             raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
         if loss._node_id is None:
             raise ContractError("loss was not produced through recorded primitives")
+        if self._replayed:
+            # intermediate grads still hold the first pass; a replay would add to them
+            raise ContractError("backward already ran on this tape; record a new one")
+        self._replayed = True
         loss.grad = np.ones_like(loss.data)
         for node in reversed(self._nodes[: loss._node_id + 1]):
             if node.grad is not None and node._backward is not None:
@@ -95,17 +99,6 @@ class tape_scope:
         global _active_tape
         _active_tape = self._prev
         return False
-
-
-def active_tape() -> Tape | None:
-    return _active_tape
-
-
-def backward(loss: Tensor) -> None:
-    """Run reverse-mode accumulation from ``loss`` over the active tape."""
-    if _active_tape is None:
-        raise ContractError("backward called with no active tape")
-    _active_tape.backward(loss)
 
 
 def _tracked(*tensors: Tensor) -> bool:
@@ -307,68 +300,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# structure: permutations, block-diagonal products, padding, reshapes
-
-
-def permute_rows(a: Tensor, perm: np.ndarray, inverse: np.ndarray) -> Tensor:
-    out = Tensor(a.data[perm])
-
-    def bwd(g):
-        if _wants_grad(a):
-            a.accumulate_grad(g[inverse])
-
-    return _record(out, bwd, a)
-
-
-def permute_cols(a: Tensor, perm: np.ndarray, inverse: np.ndarray) -> Tensor:
-    out = Tensor(a.data[:, perm])
-
-    def bwd(g):
-        if _wants_grad(a):
-            a.accumulate_grad(g[:, inverse])
-
-    return _record(out, bwd, a)
-
-
-def block_diag_lmul(blocks: Tensor, x: Tensor) -> Tensor:
-    """dense(blocks) @ x for a (b, b, b) stack of diagonal blocks."""
-    b = blocks.shape[0]
-    n = b * b
-    if blocks.shape != (b, b, b) or x.shape[0] != n:
-        raise DimensionError(f"block_diag_lmul: blocks {blocks.shape} vs x {x.shape}")
-    xr = x.data.reshape(b, b, -1)
-    out = Tensor(np.matmul(blocks.data, xr).reshape(n, -1))
-
-    def bwd(g):
-        gr = g.reshape(b, b, -1)
-        if _wants_grad(blocks):
-            blocks.accumulate_grad(np.matmul(gr, xr.transpose(0, 2, 1)))
-        if _wants_grad(x):
-            x.accumulate_grad(np.matmul(blocks.data.transpose(0, 2, 1), gr).reshape(n, -1))
-
-    return _record(out, bwd, blocks, x)
-
-
-def block_diag_rmul(x: Tensor, blocks: Tensor) -> Tensor:
-    """x @ dense(blocks) for a (b, b, b) stack of diagonal blocks."""
-    b = blocks.shape[0]
-    n = b * b
-    if blocks.shape != (b, b, b) or x.shape[1] != n:
-        raise DimensionError(f"block_diag_rmul: x {x.shape} vs blocks {blocks.shape}")
-    m = x.shape[0]
-    xr = x.data.reshape(m, b, b).transpose(1, 0, 2)  # (b, m, b)
-    yr = np.matmul(xr, blocks.data)  # (b, m, b)
-    out = Tensor(yr.transpose(1, 0, 2).reshape(m, n))
-
-    def bwd(g):
-        gr = g.reshape(m, b, b).transpose(1, 0, 2)  # (b, m, b)
-        if _wants_grad(blocks):
-            blocks.accumulate_grad(np.matmul(xr.transpose(0, 2, 1), gr))
-        if _wants_grad(x):
-            gx = np.matmul(gr, blocks.data.transpose(0, 2, 1))
-            x.accumulate_grad(gx.transpose(1, 0, 2).reshape(m, n))
-
-    return _record(out, bwd, x, blocks)
+# structure: padding, slicing, reshapes
 
 
 def pad_axis(a: Tensor, size: int, axis: int) -> Tensor:

@@ -24,6 +24,8 @@ def test_model_config_derived_sizes():
     assert cfg.d_ffn == 2116
     with pytest.raises(ConfigurationError):
         ModelConfig(d_model=10, heads=3)
+    with pytest.raises(ConfigurationError):
+        ModelConfig(heads=0)
 
 
 def test_param_counts_reference_values():

@@ -113,3 +113,25 @@ def test_cli_bad_inputs_exit_2(monkeypatch, tmp_path):
     assert main(["bench", "params", "--config", str(bad_cfg)]) == 2
     monkeypatch.setenv("MSB_SEED", "not-a-number")
     assert main(["verify", "--quick", "--select", "parameter_law"]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, command",
+    [
+        ('{"model": {"d_model": 8', ["bench", "params"]),  # malformed JSON
+        ('{"train": {"width": 3}}', ["train", "sine"]),  # unknown train key
+        ('{"data": {"length": 3}}', ["train", "sine"]),  # unknown data key
+        ('{"train": {"seed": 3}}', ["train", "sine"]),  # set by --seed
+        ('{"model": {"heads": 0}}', ["bench", "params"]),  # would divide by zero
+        ('{"train": {"heads": 0}}', ["train", "sine"]),
+        ('{"model": {"d_model": "512"}}', ["bench", "params"]),
+    ],
+    ids=["malformed-json", "unknown-train-key", "unknown-data-key", "train-seed", "zero-heads",
+         "train-zero-heads", "non-integer"],
+)
+def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, text, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(command + ["--epochs", "1"] * (command[0] == "train") + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
