@@ -106,19 +106,21 @@ def count_params(cfg: ModelConfig, variant: str) -> dict:
 def count_muladds(cfg: ModelConfig, variant: str) -> dict:
     """Per-role multiply-add counts for one forward pass.
 
-    Monarch roles use the exact factored-apply cost 4 n sqrt(n) d so the
-    ledger agrees with the runtime meter bit-for-bit.  Softmax rows are
-    charged five scalar-op equivalents per score entry; activations and
-    layer norms are charged nothing in either variant.
+    Monarch roles use the exact factored-apply cost at the input rows k and
+    output rows size each apply really has, so the ledger agrees with the
+    runtime meter bit-for-bit.  Softmax rows are charged five scalar-op
+    equivalents per score entry; activations and layer norms are charged
+    nothing in either variant.
     """
     d, h, n = cfg.d_model, cfg.heads, cfg.n_seq
     if variant == "surrogate":
         layer = {
-            "attn_proj": 3 * h * monarch_apply_muladds(cfg.d_head, n),
-            "attn_seq": 2 * h * monarch_apply_muladds(cfg.n_pad, cfg.d_head),
-            "attn_elementwise": 2 * h * cfg.n_pad * cfg.d_head,
+            "attn_proj": 3 * h * monarch_apply_muladds(cfg.d_head, n, k=d // h),
+            "attn_seq": 2 * h * monarch_apply_muladds(cfg.n_pad, cfg.d_head, k=n, size=n),
+            "attn_elementwise": 2 * h * n * cfg.d_head,
             "attn_out": h * n * cfg.d_head * d,
-            "ffn": 2 * monarch_apply_muladds(cfg.d_ffn, n),
+            "ffn": monarch_apply_muladds(cfg.d_ffn, n, k=d)
+            + monarch_apply_muladds(cfg.d_ffn, n, size=d),
         }
         monarch_roles = ("attn_proj", "attn_seq", "ffn")
     elif variant == "dense":

@@ -180,12 +180,12 @@ def structured_projection(
     qs, ks, vs = [], [], []
     for h in range(params.heads):
         chunk = T.slice_range(x, h * w, (h + 1) * w, 1)
-        chunk = T.pad_axis(chunk, d_head, 1)
-        if params.project_qkv:
+        if params.project_qkv:  # columns w.. of the chunk are implicit zeros
             qs.append(monarch_apply(params.m_q[h], chunk, "right"))
             ks.append(monarch_apply(params.m_k[h], chunk, "right"))
             vs.append(monarch_apply(params.m_v[h], chunk, "right"))
         else:
+            chunk = T.pad_axis(chunk, d_head, 1)
             qs.append(chunk)
             ks.append(chunk)
             vs.append(chunk)
@@ -198,26 +198,25 @@ def surrogate_attention_forward(x: Tensor, params: SurrogateAttentionParams) -> 
     qs, ks, vs = structured_projection(x, params)
     out: Tensor | None = None
     for h in range(params.heads):
-        q = T.pad_axis(qs[h], params.n_pad, 0)
-        k = T.pad_axis(ks[h], params.n_pad, 0)
-        v = T.pad_axis(vs[h], params.n_pad, 0)
-        a = T.elementwise_mul(monarch_apply(params.m1, q, "left"), k)
-        sa = T.elementwise_mul(monarch_apply(params.m2, a, "left"), v)
-        sa = T.slice_axis(sa, n, 0)
+        # rows n.. of Q, K, V are implicit zeros, and so are those rows of
+        # (M1 Q) . K; only the n rows that survive . V are computed
+        a = T.elementwise_mul(monarch_apply(params.m1, qs[h], "left", n), ks[h])
+        sa = T.elementwise_mul(monarch_apply(params.m2, a, "left", n), vs[h])
         head_out = T.matmul(sa, params.w_out[h])
         out = head_out if out is None else T.add(out, head_out)
     return out
 
 
 def surrogate_ffn_forward(x: Tensor, params: SurrogateFFNParams) -> Tensor:
-    """Feature-axis swap Y = sigma(X M1) M2, lifted to the Monarch size."""
+    """Feature-axis swap Y = sigma(X M1) M2 at the Monarch size, read at width d_in.
+
+    X's columns d_in.. are implicit zeros, and only the first d_in columns
+    of the output are computed.
+    """
     if x.shape[1] != params.d_in:
         raise DimensionError(f"input width {x.shape[1]} != d_in {params.d_in}")
-    y = T.pad_axis(x, params.d_ffn, 1)
-    y = monarch_apply(params.m1, y, "right")
-    y = T.activation(y, params.sigma)
-    y = monarch_apply(params.m2, y, "right")
-    return T.slice_axis(y, params.d_in, 1)
+    y = T.activation(monarch_apply(params.m1, x, "right"), params.sigma)
+    return monarch_apply(params.m2, y, "right", params.d_in)
 
 
 def enhanced_layer_forward(

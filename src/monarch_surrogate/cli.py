@@ -145,6 +145,10 @@ def cmd_bench(args) -> int:
 def cmd_train(args) -> int:
     seed = _resolve_seed(args)
     overrides = _load_config(args)
+    if "model" in overrides:
+        raise ConfigurationError(
+            "train takes the model shape from train keys d_model, heads, layers and d_ff, "
+            "not from a model section")
     data_cfg = {**DATA_DEFAULTS, **overrides.get("data", {})}
     l_in, l_out = data_cfg.pop("l_in"), data_cfg.pop("l_out")
     series = SineSpec(seed=seed, **data_cfg).generate()

@@ -5,9 +5,15 @@ product P . L . P . R . P of a fixed grid-transpose permutation P and two
 learnable block-diagonal factors.  The factored apply views its operand as a
 (b, b, d) stack, so P is a swap of the two grid axes and each factor is one
 batched matmul; the whole apply is a single tape node with a hand-written
-backward, and the right apply is the left apply of the transpose.  It never
-materializes the dense matrix and costs O(n^{3/2}) per column; a dense
-conversion exists for test oracles only.
+backward, and the right apply is the left apply of the transpose.
+
+The apply takes padding as block shapes rather than as zeros: an operand
+with k < n rows stands for its zero-padded self, and the first factor
+multiplies only the grid rows that can be nonzero; `size` < n asks for the
+leading output rows only, and the second factor computes only the grid rows
+that hold them.  Each batched product is written straight into its
+grid-transposed slot.  The apply never materializes the dense matrix and
+costs O(n^{3/2}) per column; a dense conversion exists for test oracles only.
 """
 
 from __future__ import annotations
@@ -38,11 +44,6 @@ class PermutationSpec:
     n: int
     b: int
     map: np.ndarray = field(repr=False)
-
-    def matrix(self) -> np.ndarray:
-        p = np.zeros((self.n, self.n))
-        p[np.arange(self.n), self.map] = 1.0
-        return p
 
 
 def permutation_spec(n: int) -> PermutationSpec:
@@ -88,10 +89,16 @@ class FlopMeter:
 flop_meter = FlopMeter()
 
 
-def monarch_apply_muladds(n: int, d: int) -> int:
-    """Metered multiply-add cost of one factored apply: 4 * n^{3/2} * d."""
+def monarch_apply_muladds(n: int, d: int, k: int | None = None, size: int | None = None) -> int:
+    """Multiply-adds of `monarch_apply` on d columns, k input rows, size output rows.
+
+    Each factor costs b * b * d per grid row it touches: ceil(k/b) for the
+    first, ceil(size/b) for the second; 2 * n^{3/2} * d when k = size = n.
+    """
     b = math.isqrt(n)
-    return 4 * n * b * d
+    k = n if k is None else k
+    size = n if size is None else size
+    return b * b * d * (-(-k // b) + -(-size // b))
 
 
 @dataclass
@@ -194,13 +201,21 @@ def monarch_to_dense(m: MonarchMatrix) -> np.ndarray:
     return (ldense[h][:, h] @ rdense)[:, h]
 
 
-def _grid_t(a: np.ndarray) -> np.ndarray:
-    """P on a (b, b, d) stack: swap the two grid axes, as a contiguous copy.
+def _to_grid(cols: np.ndarray, b: int) -> np.ndarray:
+    """P on k <= n columns given as a (k, d) array: a fresh (b, ceil(k/b), d) stack.
 
-    Contiguous operands keep every batched matmul on the same BLAS path, so
-    the rounding does not depend on which side the apply came from.
+    out[j, i] holds cols[i*b + j].  Only the grid rows that can be nonzero
+    are kept, and the unfilled tail of the last one is zero.
     """
-    return np.ascontiguousarray(a.transpose(1, 0, 2))
+    k, d = cols.shape
+    full, rows = k // b, -(-k // b)
+    z = np.empty((b, rows, d))
+    zt = z.transpose(1, 0, 2)
+    zt[:full] = cols[: full * b].reshape(full, b, d)
+    if full < rows:
+        zt[full, : k - full * b] = cols[full * b :]
+        zt[full, k - full * b :] = 0.0
+    return z
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -208,41 +223,58 @@ def _t(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def monarch_apply(m: MonarchMatrix, x: Tensor, side: str) -> Tensor:
+def monarch_apply(m: MonarchMatrix, x: Tensor, side: str, size: int | None = None) -> Tensor:
     """Factored apply as one tape node; differentiable in x and both block stacks.
 
-    side 'left' computes dense(M) @ x for x of shape (n, d); side 'right'
-    computes x @ dense(M) for x of shape (d, n) as the left apply of x^T with
-    the transposed Monarch, dense(M)^T = P.R^T.P.L^T.P.  On the (b, b, d)
-    stack of columns both sides run the same code: grid transpose, batched
-    matmul with the first factor, grid transpose, batched matmul with the
-    second factor, grid transpose.
+    side 'left' computes (dense(M) @ x)[:size] for x of shape (k, d); side
+    'right' computes (x @ dense(M))[:, :size] for x of shape (d, k), as the
+    left apply of x^T with the transposed Monarch, dense(M)^T = P.R^T.P.L^T.P.
+    The n - k missing rows (left) or columns (right) of x are implicit zeros,
+    and size defaults to n.  Both sides run the same code on the (b, b, d)
+    stack of columns: the first factor multiplies only the ceil(k/b) grid rows
+    x can fill, the second computes only the ceil(size/b) grid rows kept, and
+    each product is written straight into its grid-transposed slot.
     """
     if side not in ("left", "right"):
         raise ConfigurationError(f"side must be 'left' or 'right', got {side!r}")
     flip = side == "right"
     orient = _t if flip else (lambda a: a)
-    if x.data.ndim != 2 or orient(x.data).shape[0] != m.n:
-        raise DimensionError(f"{side} apply: x has shape {x.shape}, Monarch size is {m.n}")
-    cols = orient(x.data)  # (n, d): the columns the Monarch acts on
-    n, b, d = m.n, m.b, cols.shape[1]
+    n, b = m.n, m.b
+    if x.data.ndim != 2 or not 1 <= orient(x.data).shape[0] <= n:
+        raise DimensionError(f"{side} apply: x has shape {x.shape}, Monarch size is {n}")
+    size = n if size is None else size
+    if not 1 <= size <= n:
+        raise DimensionError(f"{side} apply: size {size} outside 1..{n}")
+    cols = orient(x.data)  # (k, d): the columns the Monarch acts on
+    k, d = cols.shape
+    kb, mb = -(-k // b), -(-size // b)
     # P.L.P.R.P applies R first; its transpose P.R^T.P.L^T.P applies L^T first
     first, second = (m.left, m.right) if flip else (m.right, m.left)
-    f, s = orient(first.data), orient(second.data)
-    z = _grid_t(cols.reshape(b, b, d))
-    u = _grid_t(np.matmul(f, z))
-    y = _grid_t(np.matmul(s, u)).reshape(n, d)
-    out = Tensor(np.ascontiguousarray(orient(y)))
+    f = orient(first.data)[:, :, :kb]  # meets only the grid rows x can fill
+    s = orient(second.data)[:, :mb, :]  # makes only the grid rows kept
+    z = _to_grid(cols, b)  # (b, kb, d)
+    u = np.empty((b, b, d))
+    np.matmul(f, z, out=u.transpose(1, 0, 2))
+    v = np.empty((mb, b, d))
+    np.matmul(s, u, out=v.transpose(1, 0, 2))
+    out = Tensor(np.ascontiguousarray(orient(v.reshape(mb * b, d)[:size])))
 
     def bwd(g):
-        gv = _grid_t(orient(g).reshape(b, b, d))
+        gv = _to_grid(orient(g), b)  # (b, mb, d)
         if T._wants_grad(second):
-            second.accumulate_grad(orient(np.matmul(gv, _t(u))))
-        gu = _grid_t(np.matmul(_t(s), gv))
+            ds = np.zeros((b, b, b))
+            np.matmul(gv, _t(u), out=ds[:, :mb, :])
+            second.accumulate_grad(orient(ds))
+        gu = np.empty((b, b, d))
+        np.matmul(_t(s), gv, out=gu.transpose(1, 0, 2))
         if T._wants_grad(first):
-            first.accumulate_grad(orient(np.matmul(gu, _t(z))))
+            df = np.zeros((b, b, b))
+            np.matmul(gu, _t(z), out=df[:, :, :kb])
+            first.accumulate_grad(orient(df))
         if T._wants_grad(x):
-            x.accumulate_grad(orient(_grid_t(np.matmul(_t(f), gu)).reshape(n, d)))
+            gx = np.empty((kb, b, d))
+            np.matmul(_t(f), gu, out=gx.transpose(1, 0, 2))
+            x.accumulate_grad(orient(gx.reshape(kb * b, d)[:k]))
 
-    flop_meter.add(monarch_apply_muladds(n, d))
+    flop_meter.add(monarch_apply_muladds(n, d, k, size))
     return T._record(out, bwd, x, first, second)

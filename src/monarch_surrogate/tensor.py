@@ -70,13 +70,14 @@ class Tape:
         if loss._node_id is None:
             raise ContractError("loss was not produced through recorded primitives")
         if self._replayed:
-            # intermediate grads still hold the first pass; a replay would add to them
+            # leaf grads already hold the first pass; a replay would add to them
             raise ContractError("backward already ran on this tape; record a new one")
         self._replayed = True
         loss.grad = np.ones_like(loss.data)
         for node in reversed(self._nodes[: loss._node_id + 1]):
             if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None  # passed on to its inputs; free it
 
 
 _active_tape: Tape | None = None
@@ -318,25 +319,6 @@ def pad_axis(a: Tensor, size: int, axis: int) -> Tensor:
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(0, old)
             a.accumulate_grad(g[tuple(sl)])
-
-    return _record(out, bwd, a)
-
-
-def slice_axis(a: Tensor, size: int, axis: int) -> Tensor:
-    old = a.shape[axis]
-    if size > old:
-        raise DimensionError(f"slice_axis: target {size} larger than current {old}")
-    if size == old:
-        return a
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(0, size)
-    out = Tensor(a.data[tuple(sl)])
-
-    def bwd(g):
-        if _wants_grad(a):
-            widths = [(0, 0)] * g.ndim
-            widths[axis] = (0, old - size)
-            a.accumulate_grad(np.pad(g, widths))
 
     return _record(out, bwd, a)
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monarch_surrogate.blocks import (
     EnhancedLayerParams,
@@ -12,8 +14,13 @@ from monarch_surrogate.blocks import (
     surrogate_ffn_forward,
 )
 from monarch_surrogate.errors import ConfigurationError, DimensionError
-from monarch_surrogate.tensor import Tensor
-from monarch_surrogate.verification import _dense_sab_oracle, _dense_sfb_oracle
+from monarch_surrogate.structured import pad_to_square
+from monarch_surrogate.tensor import LAYER_NORM_EPS, Tensor
+from monarch_surrogate.verification import (
+    THRESH_BLOCK_ORACLE,
+    _dense_sab_oracle,
+    _dense_sfb_oracle,
+)
 
 
 def test_attention_params_shapes():
@@ -108,3 +115,67 @@ def test_parameter_lists_cover_all_learnables():
     #   + FFN 2 Monarchs x 2 + 4 layer-norm tensors
     assert len(params) == 12 + 4 + 2 + 4 + 4
     assert len({id(t) for t in params}) == len(params)
+
+
+# random shapes: any sequence length (square or not) and head widths that
+# are often not perfect squares, so every Monarch sees padded inputs
+block_shapes = st.fixed_dictionaries({
+    "n": st.integers(1, 40),
+    "heads": st.integers(1, 4),
+    "head_width": st.integers(1, 7),
+    "ffn_extra": st.integers(0, 2),  # d_ffn = (ceil(sqrt(d_model)) + extra)^2
+    "norm_style": st.sampled_from(["post-ln", "pre-ln"]),
+    "sigma": st.sampled_from(["relu", "gelu", "identity"]),
+    "seed": st.integers(0, 2**32 - 1),
+}).filter(lambda s: s["heads"] * s["head_width"] >= 2)  # layer norm needs two features
+
+
+def _layer(shape):
+    rng = np.random.default_rng(shape["seed"])
+    d = shape["heads"] * shape["head_width"]
+    root = round(pad_to_square(d).n_pad ** 0.5) + shape["ffn_extra"]
+    p = EnhancedLayerParams.create(shape["n"], d, shape["heads"], rng, norm_style=shape["norm_style"],
+                                   d_ffn=root * root, sigma=shape["sigma"])
+    for t in (p.ln1_gain, p.ln1_bias, p.ln2_gain, p.ln2_bias):
+        t.data = rng.standard_normal(t.shape)
+    return p, rng.standard_normal((shape["n"], d))
+
+
+@settings(max_examples=50, deadline=None)
+@given(shape=block_shapes, project_qkv=st.booleans())
+def test_attention_matches_dense_oracle_on_random_shapes(shape, project_qkv):
+    p, x = _layer(shape)
+    p.attn.project_qkv = project_qkv
+    fast = surrogate_attention_forward(Tensor(x), p.attn).data
+    assert np.abs(fast - _dense_sab_oracle(x, p.attn)).max() <= THRESH_BLOCK_ORACLE
+
+
+@settings(max_examples=50, deadline=None)
+@given(shape=block_shapes)
+def test_ffn_matches_dense_oracle_on_random_shapes(shape):
+    p, x = _layer(shape)
+    fast = surrogate_ffn_forward(Tensor(x), p.ffn).data
+    assert np.abs(fast - _dense_sfb_oracle(x, p.ffn)).max() <= THRESH_BLOCK_ORACLE
+
+
+@settings(max_examples=50, deadline=None)
+@given(shape=block_shapes)
+def test_layer_matches_dense_oracle_on_random_shapes(shape):
+    p, x = _layer(shape)
+
+    def ln(a, gain, bias):
+        mu = a.mean(axis=-1, keepdims=True)
+        return (a - mu) / np.sqrt(a.var(axis=-1, keepdims=True) + LAYER_NORM_EPS) * gain + bias
+
+    ln1 = lambda a: ln(a, p.ln1_gain.data, p.ln1_bias.data)
+    ln2 = lambda a: ln(a, p.ln2_gain.data, p.ln2_bias.data)
+    sab = lambda a: _dense_sab_oracle(a, p.attn)
+    sfb = lambda a: _dense_sfb_oracle(a, p.ffn)
+    if p.norm_style == "post-ln":
+        x1 = ln1(x + sab(x))
+        dense = ln2(x1 + sfb(x1))
+    else:
+        x1 = x + sab(ln1(x))
+        dense = x1 + sfb(ln2(x1))
+    fast = enhanced_layer_forward(Tensor(x), p).data
+    assert np.abs(fast - dense).max() <= THRESH_BLOCK_ORACLE

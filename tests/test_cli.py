@@ -96,6 +96,15 @@ def test_cli_train_and_report_show(tmp_path, capsys):
     assert main(["report", "show", str(out), "--format", "csv"]) == 0
 
 
+def test_cli_train_rejects_model_section(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"d_model": 8, "heads": 4}}))
+    assert main(["train", "sine", "--epochs", "1", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(key in err for key in ("d_model", "heads", "layers", "d_ff"))
+
+
 def test_cli_seed_precedence(monkeypatch, tmp_path):
     out = tmp_path / "r.json"
     monkeypatch.setenv("MSB_SEED", "5")

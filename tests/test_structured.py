@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from monarch_surrogate import tensor as T
 from monarch_surrogate.errors import ConfigurationError, DimensionError
-from monarch_surrogate.gradcheck import max_rel_error
+from monarch_surrogate.gradcheck import DEFAULT_TOL, max_rel_error, probe_rel_errors
 from monarch_surrogate.structured import (
     FlopMeter,
     block_diag_dense,
@@ -31,7 +31,7 @@ def test_permutation_is_involution():
 
 
 def test_permutation_matrix_symmetric():
-    p = permutation_spec(16).matrix()
+    p = np.eye(16)[permutation_spec(16).map]
     assert np.array_equal(p, p.T)
     assert np.array_equal(p @ p, np.eye(16))
 
@@ -72,7 +72,7 @@ def test_apply_matches_dense(n, side):
 
 def test_identity_init_gives_permutation():
     m = monarch_new(16, init="identity-block")
-    assert np.array_equal(monarch_to_dense(m), permutation_spec(16).matrix())
+    assert np.array_equal(monarch_to_dense(m), np.eye(16)[permutation_spec(16).map])
 
 
 def test_param_count_law():
@@ -119,6 +119,12 @@ def test_apply_dimension_errors():
         monarch_apply(m, Tensor(np.zeros((5, 2))), "left")
     with pytest.raises(DimensionError):
         monarch_apply(m, Tensor(np.zeros((2, 5))), "right")
+    with pytest.raises(DimensionError):
+        monarch_apply(m, Tensor(np.zeros((0, 2))), "left")
+    with pytest.raises(DimensionError):
+        monarch_apply(m, Tensor(np.zeros((4, 2))), "left", size=5)
+    with pytest.raises(DimensionError):
+        monarch_apply(m, Tensor(np.zeros((2, 4))), "right", size=0)
     with pytest.raises(ConfigurationError):
         monarch_apply(m, Tensor(np.zeros((4, 2))), "sideways")
 
@@ -128,8 +134,29 @@ def test_meter_counts_factored_cost():
     x = Tensor(np.zeros((256, 1)))
     flop_meter.reset()
     monarch_apply(m, x, "left")
-    assert flop_meter.muladds == 16384
-    assert monarch_apply_muladds(256, 1) == 16384
+    assert flop_meter.muladds == 8192
+    assert monarch_apply_muladds(256, 1) == 8192
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("k, size", [(256, 256), (200, 256), (256, 37), (1, 1), (17, 240)])
+def test_meter_counts_factor_nonzeros_times_columns(side, k, size):
+    # one multiply-add per column of x and per nonzero of a dense factor that
+    # meets a grid row the input can fill (first factor) or makes a grid row
+    # the output keeps (second factor); the grid rows are b-long runs of P
+    n, b, d = 256, 16, 3
+    m = monarch_new(n, rng=np.random.default_rng(5))
+    h = m.perm.map
+    ldense, rdense = block_diag_dense(m.left.data), block_diag_dense(m.right.data)
+    # dense(M) = P.L.P.R.P applies R first; dense(M)^T = P.R^T.P.L^T.P applies L^T first
+    first, second = (rdense, ldense) if side == "left" else (ldense.T, rdense.T)
+    filled = h[: -(-k // b) * b]
+    kept = h[: -(-size // b) * b]
+    expected = d * (np.count_nonzero(first[:, filled]) + np.count_nonzero(second[kept, :]))
+    x = Tensor(np.ones((k, d) if side == "left" else (d, k)))
+    flop_meter.reset()
+    monarch_apply(m, x, side, size)
+    assert flop_meter.muladds == expected == monarch_apply_muladds(n, d, k, size)
 
 
 def test_meter_is_cumulative_and_resettable():
@@ -160,24 +187,35 @@ def test_gradients_through_apply(side):
     b=st.integers(1, 16),
     d=st.integers(1, 12),
     side=st.sampled_from(["left", "right"]),
-    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
 )
-def test_apply_is_one_node_and_matches_dense(b, d, side, seed):
+def test_apply_is_one_node_and_matches_dense(b, d, side, data):
+    # k input rows (left) or columns (right), the rest implicit zeros; size kept
     n = b * b
-    rng = np.random.default_rng(seed)
+    k = data.draw(st.integers(1, n), label="k")
+    size = data.draw(st.integers(1, n), label="size")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     m = monarch_new(n, rng=rng)
     dense = monarch_to_dense(m)
-    shape = (n, d) if side == "left" else (d, n)
-    x = Tensor(rng.standard_normal(shape), requires_grad=True)
-    w = rng.standard_normal(shape)
+    if side == "left":  # zero-pad to n rows, apply densely, keep `size` rows
+        x = Tensor(rng.standard_normal((k, d)), requires_grad=True)
+        expected = (dense @ np.pad(x.data, ((0, n - k), (0, 0))))[:size]
+    else:
+        x = Tensor(rng.standard_normal((d, k)), requires_grad=True)
+        expected = (np.pad(x.data, ((0, 0), (0, n - k))) @ dense)[:, :size]
+    w = rng.standard_normal(expected.shape)
+    loss = lambda: T.sum_all(T.elementwise_mul(monarch_apply(m, x, side, size), Tensor(w)))
     with tape_scope() as tape:
-        y = monarch_apply(m, x, side)
+        y = monarch_apply(m, x, side, size)
         assert len(tape) == 1
-        loss = T.sum_all(T.elementwise_mul(y, Tensor(w)))
-        tape.backward(loss)
-    # loss = sum(y * w), so dloss/dx is dense^T @ w (left) or w @ dense^T (right)
-    expected = dense @ x.data if side == "left" else x.data @ dense
-    expected_grad = dense.T @ w if side == "left" else w @ dense.T
+        tape.backward(T.sum_all(T.elementwise_mul(y, Tensor(w))))
+    # loss = sum(y * w): dloss/dx is the kept part of dense^T times w, cut to k
+    if side == "left":
+        expected_grad = (dense[:size].T @ w)[:k]
+    else:
+        expected_grad = (w @ dense[:, :size].T)[:, :k]
     scale = np.sqrt(n) * max(1.0, np.abs(x.data).max(), np.abs(w).max())
+    assert y.shape == expected.shape
     assert np.abs(y.data - expected).max() <= 1e-13 * scale
     assert np.abs(x.grad - expected_grad).max() <= 1e-13 * scale
+    assert probe_rel_errors(loss, [x], 8, rng) < DEFAULT_TOL

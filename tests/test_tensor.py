@@ -169,3 +169,30 @@ def test_accumulate_grad_rejects_shape_mismatch():
     with pytest.raises(DimensionError):
         a.accumulate_grad(np.ones(4))
     assert a.grad is None
+
+
+def test_backward_frees_intermediate_grads():
+    rng = np.random.default_rng(8)
+    a = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    w = Tensor(rng.standard_normal((5, 5)), requires_grad=True)
+
+    def run(replay):
+        a.zero_grad()
+        w.zero_grad()
+        with tape_scope() as tape:
+            h = T.activation(T.matmul(a, w), "gelu")  # h feeds three consumers
+            loss = T.sum_all(T.add(T.elementwise_mul(h, h), T.matmul(h, w)))
+            replay(tape, loss)
+        return tape, [a.grad.copy(), w.grad.copy()]
+
+    def keep_grads(tape, loss):  # the same replay without freeing
+        loss.grad = np.ones_like(loss.data)
+        for node in reversed(tape._nodes):
+            if node.grad is not None and node._backward is not None:
+                node._backward(node.grad)
+
+    kept_tape, kept = run(keep_grads)
+    freed_tape, freed = run(lambda tape, loss: tape.backward(loss))
+    assert all(np.array_equal(x, y) for x, y in zip(kept, freed))
+    assert all(node.grad is not None for node in kept_tape._nodes)
+    assert all(node.grad is None for node in freed_tape._nodes)
