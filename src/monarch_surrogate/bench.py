@@ -48,16 +48,16 @@ class ModelConfig:
 
     @property
     def d_head(self) -> int:
-        return pad_to_square(self.d_model // self.heads).n_pad
+        return pad_to_square(self.d_model // self.heads)
 
     @property
     def n_pad(self) -> int:
-        return pad_to_square(self.n_seq).n_pad
+        return pad_to_square(self.n_seq)
 
     @property
     def d_ffn(self) -> int:
         # surrogate FFN Monarch size mirrors the dense hidden width
-        return pad_to_square(self.d_ff).n_pad
+        return pad_to_square(self.d_ff)
 
 
 def monarch_param_count(n: int) -> int:

@@ -2,17 +2,20 @@
 
 The attention replacement computes, per head,
 
-    SA = M2 @ ((M1 @ Q) * K) * V
+    SA = M2 @ ((M1 @ Q) * K) * V        (`surrogate_mix`)
 
 with learnable sequence-axis Monarchs M1, M2 and Monarch-projected Q, K, V,
 then sums head outputs through per-head dense output projections.  There is
 no softmax and no 1/sqrt(Dk) scaling anywhere in this path.  The FFN
 replacement is Y = sigma(X @ M1) @ M2 on the feature axis.
+
+The params objects hold only what is learned or chosen; every size (head
+width, Monarch sizes) is derived from the factor stacks once, at construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,44 +30,42 @@ class SurrogateAttentionParams:
     heads: int
     d_in: int
     d_out: int
-    head_width: int  # contiguous input chunk per head, d_in // heads
-    d_head: int  # padded per-head width, a perfect square
-    n_pad: int  # padded sequence size, a perfect square
-    m_q: list[MonarchMatrix]
+    m_q: list[MonarchMatrix]  # per head, size d_head
     m_k: list[MonarchMatrix]
     m_v: list[MonarchMatrix]
-    m1: MonarchMatrix
+    m1: MonarchMatrix  # sequence Monarchs, size n_pad
     m2: MonarchMatrix
     w_out: list[Tensor]  # per head, (d_head, d_out)
-    project_qkv: bool = True
+    head_width: int = field(init=False)  # contiguous input chunk per head, d_in // heads
+    d_head: int = field(init=False)  # per-head Monarch size, a perfect square
+    n_pad: int = field(init=False)  # sequence Monarch size, a perfect square
+
+    def __post_init__(self):
+        self.head_width = self.d_in // self.heads
+        self.d_head, self.n_pad = self.m_q[0].n, self.m1.n
+        if self.head_width * self.heads != self.d_in or self.head_width > self.d_head:
+            raise ConfigurationError(
+                f"{self.heads} heads of Monarch size {self.d_head} do not fit d_in={self.d_in}"
+            )
+        if self.m2.n != self.n_pad:
+            raise DimensionError(f"sequence Monarchs have sizes {self.n_pad} and {self.m2.n}")
 
     @classmethod
     def create(
-        cls,
-        n_seq: int,
-        d_in: int,
-        d_out: int,
-        heads: int,
-        rng: np.random.Generator,
-        init: str = "kaiming-block",
+        cls, n_seq: int, d_in: int, d_out: int, heads: int, rng: np.random.Generator
     ) -> "SurrogateAttentionParams":
         if d_in % heads != 0:
             raise ConfigurationError(f"d_in={d_in} not divisible by heads={heads}")
-        head_width = d_in // heads
-        d_head = pad_to_square(head_width).n_pad
-        n_pad = pad_to_square(n_seq).n_pad
-        m1 = monarch_new(n_pad, init=init, rng=rng)
-        m2 = monarch_new(n_pad, init=init, rng=rng)
-        m2.perm = m1.perm  # sequence Monarchs share one permutation
-        mk = lambda: monarch_new(d_head, init=init, rng=rng)
+        d_head = pad_to_square(d_in // heads)
+        n_pad = pad_to_square(n_seq)
+        m1 = monarch_new(n_pad, rng=rng)
+        m2 = monarch_new(n_pad, rng=rng)
+        mk = lambda: monarch_new(d_head, rng=rng)
         w_std = d_head**-0.5
         return cls(
             heads=heads,
             d_in=d_in,
             d_out=d_out,
-            head_width=head_width,
-            d_head=d_head,
-            n_pad=n_pad,
             m_q=[mk() for _ in range(heads)],
             m_k=[mk() for _ in range(heads)],
             m_v=[mk() for _ in range(heads)],
@@ -78,10 +79,9 @@ class SurrogateAttentionParams:
 
     def parameters(self) -> list[Tensor]:
         out: list[Tensor] = []
-        if self.project_qkv:
-            for group in (self.m_q, self.m_k, self.m_v):
-                for m in group:
-                    out.extend(m.parameters())
+        for group in (self.m_q, self.m_k, self.m_v):
+            for m in group:
+                out.extend(m.parameters())
         out.extend(self.m1.parameters())
         out.extend(self.m2.parameters())
         out.extend(self.w_out)
@@ -91,10 +91,17 @@ class SurrogateAttentionParams:
 @dataclass
 class SurrogateFFNParams:
     d_in: int
-    d_ffn: int  # Monarch size, a perfect square >= d_in
     m1: MonarchMatrix
     m2: MonarchMatrix
     sigma: str = "relu"
+    d_ffn: int = field(init=False)  # Monarch size, a perfect square >= d_in
+
+    def __post_init__(self):
+        self.d_ffn = self.m1.n
+        if self.d_ffn < self.d_in:
+            raise ConfigurationError(f"d_ffn={self.d_ffn} smaller than d_in={self.d_in}")
+        if self.m2.n != self.d_ffn:
+            raise DimensionError(f"FFN Monarchs have sizes {self.d_ffn} and {self.m2.n}")
 
     @classmethod
     def create(
@@ -103,21 +110,11 @@ class SurrogateFFNParams:
         rng: np.random.Generator,
         d_ffn: int | None = None,
         sigma: str = "relu",
-        init: str = "kaiming-block",
     ) -> "SurrogateFFNParams":
-        if d_ffn is None:
-            d_ffn = pad_to_square(d_in).n_pad
-        if pad_to_square(d_ffn).n_pad != d_ffn:
+        d_ffn = pad_to_square(d_in) if d_ffn is None else d_ffn
+        if pad_to_square(d_ffn) != d_ffn:
             raise ConfigurationError(f"d_ffn={d_ffn} must be a perfect square")
-        if d_ffn < d_in:
-            raise ConfigurationError(f"d_ffn={d_ffn} smaller than d_in={d_in}")
-        return cls(
-            d_in=d_in,
-            d_ffn=d_ffn,
-            m1=monarch_new(d_ffn, init=init, rng=rng),
-            m2=monarch_new(d_ffn, init=init, rng=rng),
-            sigma=sigma,
-        )
+        return cls(d_in, monarch_new(d_ffn, rng=rng), monarch_new(d_ffn, rng=rng), sigma)
 
     def parameters(self) -> list[Tensor]:
         return self.m1.parameters() + self.m2.parameters()
@@ -176,32 +173,34 @@ def structured_projection(
         raise DimensionError(f"sequence length {n} exceeds padded size {params.n_pad}")
     if x.shape[1] != params.d_in:
         raise DimensionError(f"input width {x.shape[1]} != d_in {params.d_in}")
-    w, d_head = params.head_width, params.d_head
+    w = params.head_width
     qs, ks, vs = [], [], []
     for h in range(params.heads):
+        # columns w.. of the chunk are implicit zeros of the d_head-wide apply
         chunk = T.slice_range(x, h * w, (h + 1) * w, 1)
-        if params.project_qkv:  # columns w.. of the chunk are implicit zeros
-            qs.append(monarch_apply(params.m_q[h], chunk, "right"))
-            ks.append(monarch_apply(params.m_k[h], chunk, "right"))
-            vs.append(monarch_apply(params.m_v[h], chunk, "right"))
-        else:
-            chunk = T.pad_axis(chunk, d_head, 1)
-            qs.append(chunk)
-            ks.append(chunk)
-            vs.append(chunk)
+        qs.append(monarch_apply(params.m_q[h], chunk, "right"))
+        ks.append(monarch_apply(params.m_k[h], chunk, "right"))
+        vs.append(monarch_apply(params.m_v[h], chunk, "right"))
     return qs, ks, vs
+
+
+def surrogate_mix(q: Tensor, k: Tensor, v: Tensor, m1: MonarchMatrix, m2: MonarchMatrix) -> Tensor:
+    """One head's sequence mixing M2 ((M1 Q) . K) . V for (n, w) Q, K, V, n <= m1.n.
+
+    Rows n.. of Q, K, V are implicit zeros, and so are those rows of
+    (M1 Q) . K; only the n rows that survive . V are computed.
+    """
+    n = q.shape[0]
+    a = T.elementwise_mul(monarch_apply(m1, q, "left", n), k)
+    return T.elementwise_mul(monarch_apply(m2, a, "left", n), v)
 
 
 def surrogate_attention_forward(x: Tensor, params: SurrogateAttentionParams) -> Tensor:
     """Head sum: sum_h [M2 ((M1 Q_h) . K_h) . V_h] W_out_h."""
-    n = x.shape[0]
     qs, ks, vs = structured_projection(x, params)
     out: Tensor | None = None
     for h in range(params.heads):
-        # rows n.. of Q, K, V are implicit zeros, and so are those rows of
-        # (M1 Q) . K; only the n rows that survive . V are computed
-        a = T.elementwise_mul(monarch_apply(params.m1, qs[h], "left", n), ks[h])
-        sa = T.elementwise_mul(monarch_apply(params.m2, a, "left", n), vs[h])
+        sa = surrogate_mix(qs[h], ks[h], vs[h], params.m1, params.m2)
         head_out = T.matmul(sa, params.w_out[h])
         out = head_out if out is None else T.add(out, head_out)
     return out

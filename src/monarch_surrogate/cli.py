@@ -43,7 +43,8 @@ CONFIG_DEFAULTS = {
 }
 
 
-def _load_config(args) -> dict:
+def _load_config(args, sections: tuple[str, ...]) -> dict:
+    """The --config file's sections, each of which must be one the command reads."""
     if not args.config:
         return {}
     with open(args.config) as fh:
@@ -54,10 +55,12 @@ def _load_config(args) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigurationError(f"config file {args.config} must hold a JSON object")
     for section, values in cfg.items():
-        defaults = CONFIG_DEFAULTS.get(section)
-        if defaults is None:
-            raise ConfigurationError(
-                f"unknown config section {section!r}, expected one of {sorted(CONFIG_DEFAULTS)}")
+        if section not in sections:
+            reads = "; ".join(f"{s} (keys {', '.join(sorted(CONFIG_DEFAULTS[s]))})"
+                              for s in sections)
+            raise ConfigurationError(f"{args.command} does not read config section {section!r}; "
+                                     f"it reads {reads or 'no config section'}")
+        defaults = CONFIG_DEFAULTS[section]
         if not isinstance(values, dict):
             raise ConfigurationError(f"config section {section!r} must be a JSON object")
         unknown = set(values) - set(defaults)
@@ -84,7 +87,7 @@ def _emit(args, rep: dict) -> None:
 
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
-    overrides = _load_config(args)
+    _load_config(args, ())
     vcfg = verification.VerifyConfig(select=args.select or None)
     if args.quick:
         vcfg.seeds_oracle = 10
@@ -94,7 +97,7 @@ def cmd_verify(args) -> int:
         vcfg.seeds_block_oracle = 5
         vcfg.gradient_probes = 10
     checks = verification.run_all(vcfg)
-    rep = report_mod.new_report({"seed": seed, "quick": args.quick, **overrides})
+    rep = report_mod.new_report({"seed": seed, "quick": args.quick})
     rep["checks"] = [c.to_dict() for c in checks]
     failures = 0
     for c in checks:
@@ -109,7 +112,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     seed = _resolve_seed(args)
-    overrides = _load_config(args)
+    overrides = _load_config(args, ("model",))
     cfg = bench.ModelConfig(**overrides.get("model", {}))
     rep = report_mod.new_report({"seed": seed, "model": cfg.__dict__})
     status = 0
@@ -144,11 +147,7 @@ def cmd_bench(args) -> int:
 
 def cmd_train(args) -> int:
     seed = _resolve_seed(args)
-    overrides = _load_config(args)
-    if "model" in overrides:
-        raise ConfigurationError(
-            "train takes the model shape from train keys d_model, heads, layers and d_ff, "
-            "not from a model section")
+    overrides = _load_config(args, ("train", "data"))
     data_cfg = {**DATA_DEFAULTS, **overrides.get("data", {})}
     l_in, l_out = data_cfg.pop("l_in"), data_cfg.pop("l_out")
     series = SineSpec(seed=seed, **data_cfg).generate()

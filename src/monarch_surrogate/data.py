@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,22 +70,3 @@ def build_dataset(series: np.ndarray, l_in: int, l_out: int) -> WindowedDataset:
     train, val, test = (make_windows(s, l_in, l_out) for s in segments)
     return WindowedDataset(train=train, val=val, test=test, l_in=l_in, l_out=l_out)
 
-
-def write_series_csv(path, series: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "value"])
-        for t, v in enumerate(series):
-            writer.writerow([t, repr(float(v))])
-
-
-def read_series_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t", "value"]:
-            raise ConfigurationError(f"expected header ['t', 'value'], got {header}")
-        values = [float(row[1]) for row in reader if row]
-    if not values:
-        raise ConfigurationError("series file contains no rows")
-    return np.asarray(values)

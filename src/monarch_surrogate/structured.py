@@ -2,10 +2,12 @@
 
 A Monarch matrix of size n (a perfect square, block size b = sqrt(n)) is the
 product P . L . P . R . P of a fixed grid-transpose permutation P and two
-learnable block-diagonal factors.  The factored apply views its operand as a
-(b, b, d) stack, so P is a swap of the two grid axes and each factor is one
-batched matmul; the whole apply is a single tape node with a hand-written
-backward, and the right apply is the left apply of the transpose.
+learnable block-diagonal factors.  A `MonarchMatrix` holds only the two
+(b, b, b) factor stacks: n and b are read off them once, at construction,
+and P is fixed by n.  The factored apply views its operand as a (b, b, d)
+stack, so P is a swap of the two grid axes and each factor is one batched
+matmul; the whole apply is a single tape node with a hand-written backward,
+and the right apply is the left apply of the transpose.
 
 The apply takes padding as block shapes rather than as zeros: an operand
 with k < n rows stands for its zero-padded self, and the first factor
@@ -56,21 +58,14 @@ def permutation_spec(n: int) -> PermutationSpec:
     return PermutationSpec(n=n, b=b, map=i // b + b * (i % b))
 
 
-@dataclass
-class SquarePadding:
-    """A size n and the perfect square n_pad it is zero-padded to."""
-
-    n: int
-    n_pad: int
-
-
-def pad_to_square(n: int) -> SquarePadding:
+def pad_to_square(n: int) -> int:
+    """The smallest perfect square >= n: the Monarch size that holds n."""
     if n < 1:
         raise DimensionError(f"pad_to_square requires n >= 1, got {n}")
     root = math.isqrt(n)
     if root * root < n:
         root += 1
-    return SquarePadding(n=n, n_pad=root * root)
+    return root * root
 
 
 class FlopMeter:
@@ -103,16 +98,25 @@ def monarch_apply_muladds(n: int, d: int, k: int | None = None, size: int | None
 
 @dataclass
 class MonarchMatrix:
-    """n-by-n map factored as P . L . P . R . P with learnable L, R blocks."""
+    """n-by-n map factored as P . L . P . R . P with learnable L, R blocks.
 
-    n: int
+    Only the factors are stored; n = b * b and b are set from their (b, b, b)
+    shape at construction (plain attributes: the apply reads both every call).
+    """
+
     left: Tensor  # (b, b, b) stack: diagonal blocks of L
     right: Tensor  # (b, b, b) stack: diagonal blocks of R
-    perm: PermutationSpec
+    n: int = field(init=False)
+    b: int = field(init=False)
 
-    @property
-    def b(self) -> int:
-        return self.perm.b
+    def __post_init__(self):
+        b = self.left.shape[0] if self.left.data.ndim == 3 else 0
+        if b < 1 or self.left.shape != (b, b, b) or self.right.shape != (b, b, b):
+            raise DimensionError(
+                f"Monarch factors must be two (b, b, b) stacks of one b >= 1, "
+                f"got {self.left.shape} and {self.right.shape}"
+            )
+        self.n, self.b = b * b, b
 
     @property
     def param_count(self) -> int:
@@ -127,18 +131,15 @@ def monarch_new(
     n: int,
     init: str = "kaiming-block",
     rng: np.random.Generator | None = None,
-    blocks: tuple[np.ndarray, np.ndarray] | None = None,
     requires_grad: bool = True,
 ) -> MonarchMatrix:
     """Create a Monarch matrix of perfect-square size n.
 
     init 'kaiming-block' draws block entries from normal(0, 1/sqrt(n))
     (variance 1/b, i.e. per-block fan-in); 'identity-block' makes both
-    factors identity so the dense form reduces to the permutation matrix;
-    'explicit' takes (left, right) stacks of shape (b, b, b).
+    factors identity so the dense form reduces to the permutation matrix.
     """
-    spec = permutation_spec(n)
-    b = spec.b
+    b = permutation_spec(n).b
     if init == "kaiming-block":
         if rng is None:
             rng = np.random.default_rng()
@@ -148,28 +149,17 @@ def monarch_new(
     elif init == "identity-block":
         left = np.broadcast_to(np.eye(b), (b, b, b)).copy()
         right = left.copy()
-    elif init == "explicit":
-        if blocks is None:
-            raise ConfigurationError("explicit init requires blocks=(left, right)")
-        left, right = (np.asarray(x, dtype=np.float64) for x in blocks)
-        if left.shape != (b, b, b) or right.shape != (b, b, b):
-            raise DimensionError(
-                f"explicit blocks must have shape {(b, b, b)}, got {left.shape} and {right.shape}"
-            )
     else:
         raise ConfigurationError(f"unknown init {init!r}")
     return MonarchMatrix(
-        n=n,
         left=Tensor(left, requires_grad=requires_grad),
         right=Tensor(right, requires_grad=requires_grad),
-        perm=spec,
     )
 
 
 def monarch_from_dense_factors(n: int, l_dense: np.ndarray, r_dense: np.ndarray) -> MonarchMatrix:
     """Build from dense block-diagonal L and R matrices (off-block entries must be zero)."""
-    spec = permutation_spec(n)
-    b = spec.b
+    b = permutation_spec(n).b
     for name, mat in (("L", l_dense), ("R", r_dense)):
         if mat.shape != (n, n):
             raise DimensionError(f"{name} must be {n}x{n}, got {mat.shape}")
@@ -180,7 +170,7 @@ def monarch_from_dense_factors(n: int, l_dense: np.ndarray, r_dense: np.ndarray)
             raise DimensionError(f"{name} has nonzeros outside its diagonal blocks")
     left = np.stack([l_dense[j * b : (j + 1) * b, j * b : (j + 1) * b] for j in range(b)])
     right = np.stack([r_dense[j * b : (j + 1) * b, j * b : (j + 1) * b] for j in range(b)])
-    return MonarchMatrix(n=n, left=Tensor(left), right=Tensor(right), perm=spec)
+    return MonarchMatrix(left=Tensor(left), right=Tensor(right))
 
 
 def block_diag_dense(blocks: np.ndarray) -> np.ndarray:
@@ -194,7 +184,7 @@ def block_diag_dense(blocks: np.ndarray) -> np.ndarray:
 
 def monarch_to_dense(m: MonarchMatrix) -> np.ndarray:
     """Materialize P.L.P.R.P; oracle/test use only."""
-    h = m.perm.map
+    h = permutation_spec(m.n).map
     ldense = block_diag_dense(m.left.data)
     rdense = block_diag_dense(m.right.data)
     # P @ A permutes rows by h; A @ P permutes columns by h (P symmetric).

@@ -301,26 +301,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# structure: padding, slicing, reshapes
-
-
-def pad_axis(a: Tensor, size: int, axis: int) -> Tensor:
-    old = a.shape[axis]
-    if size < old:
-        raise DimensionError(f"pad_axis: target {size} smaller than current {old}")
-    if size == old:
-        return a
-    widths = [(0, 0)] * a.data.ndim
-    widths[axis] = (0, size - old)
-    out = Tensor(np.pad(a.data, widths))
-
-    def bwd(g):
-        if _wants_grad(a):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(0, old)
-            a.accumulate_grad(g[tuple(sl)])
-
-    return _record(out, bwd, a)
+# structure: slicing, reshapes
 
 
 def slice_range(a: Tensor, start: int, stop: int, axis: int) -> Tensor:

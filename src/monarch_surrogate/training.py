@@ -96,11 +96,14 @@ class ForecasterParams:
             layers = [
                 EnhancedLayerParams.create(
                     l_in, d_model, heads, rng,
-                    d_ffn=pad_to_square(d_ff).n_pad, dropout=dropout,
+                    d_ffn=pad_to_square(d_ff), dropout=dropout,
                 )
                 for _ in range(n_layers)
             ]
         elif variant == "dense":
+            if dropout > 0.0:
+                raise ConfigurationError(
+                    f"dropout={dropout} needs the surrogate variant; dense layers have no dropout")
             layers = [DenseLayerParams.create(d_model, heads, d_ff, rng) for _ in range(n_layers)]
         else:
             raise ConfigurationError(f"unknown variant {variant!r}")

@@ -15,9 +15,12 @@ from . import tensor as T
 from .blocks import (
     EnhancedLayerParams,
     SurrogateAttentionParams,
+    SurrogateFFNParams,
     enhanced_layer_forward,
+    structured_projection,
     surrogate_attention_forward,
     surrogate_ffn_forward,
+    surrogate_mix,
 )
 from .errors import ConfigurationError
 from .gradcheck import probe_rel_errors
@@ -200,30 +203,15 @@ def _assert_block_diagonal(mat: np.ndarray, b: int) -> None:
 
 
 def check_expressiveness(c: ExpressivenessConstruction, seeds: int = 1000) -> CheckResult:
-    """Run the attention block with projections skipped and compare y_k to the monomial."""
+    """Mix Q = K = V = X (no projections) with the construction and compare y_k to the monomial."""
     m1 = monarch_from_dense_factors(c.n, c.l1, c.r1)
     m2 = monarch_from_dense_factors(c.n, c.l2, c.r2)
-    params = SurrogateAttentionParams(
-        heads=1,
-        d_in=1,
-        d_out=1,
-        head_width=1,
-        d_head=1,
-        n_pad=c.n,
-        m_q=[],
-        m_k=[],
-        m_v=[],
-        m1=m1,
-        m2=m2,
-        w_out=[Tensor(np.eye(1))],
-        project_qkv=False,
-    )
     worst = 0.0
     for seed in range(seeds):
         rng = np.random.default_rng(seed)
-        x = rng.uniform(-2.0, 2.0, c.n)
-        y = surrogate_attention_forward(Tensor(x[:, None]), params).data[:, 0]
-        expected = x[c.k] * x[c.source_index] ** 2
+        x = Tensor(rng.uniform(-2.0, 2.0, (c.n, 1)))
+        y = surrogate_mix(x, x, x, m1, m2).data[:, 0]
+        expected = x.data[c.k, 0] * x.data[c.source_index, 0] ** 2
         worst = max(worst, abs(y[c.k] - expected))
     return CheckResult(f"expressiveness_{c.mode}_n{c.n}_k{c.k}", worst, THRESH_EXACT, seeds)
 
@@ -246,8 +234,9 @@ def check_lti_decomposition(n: int = 16, d_head: int = 4, seeds: int = 100) -> C
         if params.n_pad != n:
             raise ConfigurationError(f"n={n} must be a perfect square for this check")
         x = rng.standard_normal((n, d_head))
-        direct = _single_head_sa(x, params)
-        q, k, v = (u.data for u in _single_head_qkv(x, params))
+        qs, ks, vs = structured_projection(Tensor(x), params)
+        direct = surrogate_mix(qs[0], ks[0], vs[0], params.m1, params.m2).data
+        q, k, v = qs[0].data, ks[0].data, vs[0].data
         m1 = monarch_to_dense(params.m1)
         m2 = monarch_to_dense(params.m2)
         readout = (m1 @ q) * k  # time-invariant: shared by every step
@@ -262,21 +251,6 @@ def check_lti_decomposition(n: int = 16, d_head: int = 4, seeds: int = 100) -> C
         if not np.array_equal(_simulate_memoryless_states(shuffled)[-1], states[-1]):
             raise AssertionError("state at t depends on earlier inputs despite A = 0")
     return CheckResult("lti_decomposition", worst, THRESH_ORACLE, seeds)
-
-
-def _single_head_qkv(x, params: SurrogateAttentionParams):
-    from .blocks import structured_projection
-
-    if params.heads != 1:
-        raise ConfigurationError("LTI decomposition treats a single head")
-    qs, ks, vs = structured_projection(Tensor(x), params)
-    return qs[0], ks[0], vs[0]
-
-
-def _single_head_sa(x, params: SurrogateAttentionParams) -> np.ndarray:
-    q, k, v = _single_head_qkv(x, params)
-    a = T.elementwise_mul(monarch_apply(params.m1, q, "left"), k)
-    return T.elementwise_mul(monarch_apply(params.m2, a, "left"), v).data
 
 
 def _simulate_memoryless_states(v: np.ndarray) -> np.ndarray:
@@ -301,12 +275,9 @@ def _dense_sab_oracle(x: np.ndarray, params: SurrogateAttentionParams) -> np.nda
     for h in range(params.heads):
         chunk = x[:, h * w : (h + 1) * w]
         chunk = np.pad(chunk, ((0, 0), (0, d_head - w)))
-        if params.project_qkv:
-            q = chunk @ monarch_to_dense(params.m_q[h])
-            k = chunk @ monarch_to_dense(params.m_k[h])
-            v = chunk @ monarch_to_dense(params.m_v[h])
-        else:
-            q = k = v = chunk
+        q = chunk @ monarch_to_dense(params.m_q[h])
+        k = chunk @ monarch_to_dense(params.m_k[h])
+        v = chunk @ monarch_to_dense(params.m_v[h])
         q, k, v = (np.pad(u, ((0, n_pad - n), (0, 0))) for u in (q, k, v))
         sa = (m2 @ ((m1 @ q) * k)) * v
         out += sa[:n] @ params.w_out[h].data
@@ -339,8 +310,6 @@ def check_sab_oracle(sizes=((4, 4), (16, 8), (64, 16)), heads: int = 2, seeds: i
 
 
 def check_sfb_oracle(sizes=((4, 4), (16, 8), (64, 16)), seeds: int = 50) -> CheckResult:
-    from .blocks import SurrogateFFNParams
-
     worst = 0.0
     for n, d in sizes:
         for seed in range(seeds):
@@ -386,7 +355,6 @@ class VerifyConfig:
     seeds_block_oracle: int = 50
     gradient_probes: int = 50
     select: list[str] | None = None  # substring filters; None runs everything
-    threshold_override: float | None = None
 
 
 def run_all(config: VerifyConfig | None = None) -> list[CheckResult]:
@@ -429,9 +397,4 @@ def run_all(config: VerifyConfig | None = None) -> list[CheckResult]:
         checks.append(check_sfb_oracle(seeds=config.seeds_block_oracle))
     if keep("layer_gradients"):
         checks.append(check_layer_gradients(probes=config.gradient_probes))
-    if config.threshold_override is not None:
-        checks = [
-            CheckResult(c.name, c.max_abs_diff, config.threshold_override, c.seeds_run)
-            for c in checks
-        ]
     return checks

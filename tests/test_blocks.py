@@ -30,7 +30,6 @@ def test_attention_params_shapes():
     assert p.d_head == 9
     assert p.n_pad == 100
     assert len(p.m_q) == len(p.m_k) == len(p.m_v) == 4
-    assert p.m1.perm is p.m2.perm
     assert all(w.shape == (9, 32) for w in p.w_out)
 
 
@@ -133,7 +132,7 @@ block_shapes = st.fixed_dictionaries({
 def _layer(shape):
     rng = np.random.default_rng(shape["seed"])
     d = shape["heads"] * shape["head_width"]
-    root = round(pad_to_square(d).n_pad ** 0.5) + shape["ffn_extra"]
+    root = round(pad_to_square(d) ** 0.5) + shape["ffn_extra"]
     p = EnhancedLayerParams.create(shape["n"], d, shape["heads"], rng, norm_style=shape["norm_style"],
                                    d_ffn=root * root, sigma=shape["sigma"])
     for t in (p.ln1_gain, p.ln1_bias, p.ln2_gain, p.ln2_bias):
@@ -142,10 +141,9 @@ def _layer(shape):
 
 
 @settings(max_examples=50, deadline=None)
-@given(shape=block_shapes, project_qkv=st.booleans())
-def test_attention_matches_dense_oracle_on_random_shapes(shape, project_qkv):
+@given(shape=block_shapes)
+def test_attention_matches_dense_oracle_on_random_shapes(shape):
     p, x = _layer(shape)
-    p.attn.project_qkv = project_qkv
     fast = surrogate_attention_forward(Tensor(x), p.attn).data
     assert np.abs(fast - _dense_sab_oracle(x, p.attn)).max() <= THRESH_BLOCK_ORACLE
 

@@ -105,6 +105,37 @@ def test_cli_train_rejects_model_section(tmp_path, capsys):
     assert all(key in err for key in ("d_model", "heads", "layers", "d_ff"))
 
 
+@pytest.mark.parametrize(
+    "sections, command, reads",
+    [
+        ({"model": {"d_model": 8, "heads": 4}, "train": {"epochs": 3}},
+         ["verify", "--quick", "--select", "parameter_law"], ["no config section"]),
+        ({"train": {"epochs": 3}}, ["bench", "params"], ["model"]),
+        ({"data": {"samples": 80}}, ["bench", "params"], ["model"]),
+    ],
+    ids=["verify-model-train", "bench-train", "bench-data"],
+)
+def test_cli_rejects_sections_the_command_does_not_read(tmp_path, capsys, sections, command,
+                                                        reads):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(sections))
+    assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(word in err for word in reads)
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_train_dense_rejects_dropout(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": {"samples": 80, "period": 8.0, "l_in": 8, "l_out": 4},
+                               "train": {"d_model": 8, "d_ff": 16, "dropout": 0.9}}))
+    args = ["train", "sine", "--variant", "dense", "--epochs", "1", "--config", str(cfg)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "dropout" in err
+
+
 def test_cli_seed_precedence(monkeypatch, tmp_path):
     out = tmp_path / "r.json"
     monkeypatch.setenv("MSB_SEED", "5")

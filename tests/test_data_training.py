@@ -8,8 +8,6 @@ from monarch_surrogate.data import (
     build_dataset,
     chronological_split,
     make_windows,
-    read_series_csv,
-    write_series_csv,
 )
 from monarch_surrogate.errors import ConfigurationError
 from monarch_surrogate.training import (
@@ -63,25 +61,6 @@ def test_build_dataset_windows_stay_inside_splits():
     ds = build_dataset(np.arange(100, dtype=float), l_in=4, l_out=2)
     assert len(ds.train[0]) == 55 and len(ds.val[0]) == 15 and len(ds.test[0]) == 15
     assert ds.val[0][0][0] == 60.0  # first validation window starts at the split
-
-
-def test_series_csv_roundtrip(tmp_path):
-    z = SineSpec(samples=30).generate()
-    path = tmp_path / "series.csv"
-    write_series_csv(path, z)
-    back = read_series_csv(path)
-    assert np.array_equal(z, back)
-
-
-def test_series_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("time,v\n0,1.0\n")
-    with pytest.raises(ConfigurationError):
-        read_series_csv(path)
-    empty = tmp_path / "empty.csv"
-    empty.write_text("t,value\n")
-    with pytest.raises(ConfigurationError):
-        read_series_csv(empty)
 
 
 def test_forecaster_forward_shapes():

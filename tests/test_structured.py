@@ -10,6 +10,7 @@ from monarch_surrogate.errors import ConfigurationError, DimensionError
 from monarch_surrogate.gradcheck import DEFAULT_TOL, max_rel_error, probe_rel_errors
 from monarch_surrogate.structured import (
     FlopMeter,
+    MonarchMatrix,
     block_diag_dense,
     flop_meter,
     is_perfect_square,
@@ -47,9 +48,9 @@ def test_is_perfect_square():
 
 
 def test_pad_to_square_values():
-    assert pad_to_square(96).n_pad == 100
-    assert pad_to_square(64).n_pad == 64
-    assert pad_to_square(1).n_pad == 1
+    assert pad_to_square(96) == 100
+    assert pad_to_square(64) == 64
+    assert pad_to_square(1) == 1
     with pytest.raises(DimensionError):
         pad_to_square(0)
 
@@ -82,10 +83,13 @@ def test_param_count_law():
 
 
 def test_explicit_init_validation():
-    with pytest.raises(ConfigurationError):
-        monarch_new(4, init="explicit")
-    with pytest.raises(DimensionError):
-        monarch_new(4, init="explicit", blocks=(np.zeros((3, 2, 2)), np.zeros((2, 2, 2))))
+    # a Monarch is built explicitly from its two factor stacks; n and b are read off them
+    m = MonarchMatrix(Tensor(np.zeros((3, 3, 3))), Tensor(np.ones((3, 3, 3))))
+    assert (m.n, m.b) == (9, 3)
+    for left, right in [((3, 2, 2), (2, 2, 2)), ((2, 2, 2), (3, 3, 3)), ((2, 2), (2, 2)),
+                        ((0, 0, 0), (0, 0, 0)), ((2, 2, 3), (2, 2, 3))]:
+        with pytest.raises(DimensionError):
+            MonarchMatrix(Tensor(np.zeros(left)), Tensor(np.zeros(right)))
     with pytest.raises(ConfigurationError):
         monarch_new(4, init="not-an-init")
 
@@ -146,7 +150,7 @@ def test_meter_counts_factor_nonzeros_times_columns(side, k, size):
     # the output keeps (second factor); the grid rows are b-long runs of P
     n, b, d = 256, 16, 3
     m = monarch_new(n, rng=np.random.default_rng(5))
-    h = m.perm.map
+    h = permutation_spec(n).map
     ldense, rdense = block_diag_dense(m.left.data), block_diag_dense(m.right.data)
     # dense(M) = P.L.P.R.P applies R first; dense(M)^T = P.R^T.P.L^T.P applies L^T first
     first, second = (rdense, ldense) if side == "left" else (ldense.T, rdense.T)

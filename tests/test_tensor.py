@@ -111,10 +111,9 @@ def test_pad_and_slice_grad():
     rng = np.random.default_rng(7)
     a = Tensor(rng.standard_normal((6, 6)), requires_grad=True)
 
-    def loss():
-        y = T.pad_axis(a, 8, 0)
-        y = T.slice_range(y, 1, 7, 0)
-        return T.sum_all(y)
+    def loss():  # the slice's backward zero-pads the gradient back to a's shape
+        y = T.slice_range(a, 1, 5, 0)
+        return T.sum_all(T.elementwise_mul(y, y))
 
     _grad_matches(loss, [a])
 

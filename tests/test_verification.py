@@ -98,9 +98,3 @@ def test_run_all_select_filters():
     assert names == {"parameter_law", "lti_decomposition"}
     assert all(c.passed for c in checks)
 
-
-def test_run_all_threshold_override_can_fail():
-    cfg = V.VerifyConfig(seeds_oracle=2, select=["monarch_oracle"],
-                         threshold_override=0.0)
-    checks = V.run_all(cfg)
-    assert len(checks) == 1 and not checks[0].passed
