@@ -129,7 +129,6 @@ class EnhancedLayerParams:
     ln1_bias: Tensor
     ln2_gain: Tensor
     ln2_bias: Tensor
-    dropout: float = 0.0
 
     @classmethod
     def create(
@@ -141,7 +140,6 @@ class EnhancedLayerParams:
         norm_style: str = "post-ln",
         d_ffn: int | None = None,
         sigma: str = "relu",
-        dropout: float = 0.0,
     ) -> "EnhancedLayerParams":
         if norm_style not in ("post-ln", "pre-ln"):
             raise ConfigurationError(f"unknown norm style {norm_style!r}")
@@ -153,7 +151,6 @@ class EnhancedLayerParams:
             ln1_bias=Tensor(np.zeros(d_model), requires_grad=True),
             ln2_gain=Tensor(np.ones(d_model), requires_grad=True),
             ln2_bias=Tensor(np.zeros(d_model), requires_grad=True),
-            dropout=dropout,
         )
 
     def parameters(self) -> list[Tensor]:
@@ -218,23 +215,10 @@ def surrogate_ffn_forward(x: Tensor, params: SurrogateFFNParams) -> Tensor:
     return monarch_apply(params.m2, y, "right", params.d_in)
 
 
-def enhanced_layer_forward(
-    x: Tensor,
-    params: EnhancedLayerParams,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
+def enhanced_layer_forward(x: Tensor, params: EnhancedLayerParams) -> Tensor:
     """One encoder layer with either residual-connection style."""
-
-    def maybe_drop(t: Tensor) -> Tensor:
-        if training and params.dropout > 0.0:
-            if rng is None:
-                raise ConfigurationError("dropout requires an rng in training mode")
-            return T.dropout(t, params.dropout, rng)
-        return t
-
-    sab = lambda t: maybe_drop(surrogate_attention_forward(t, params.attn))
-    sfb = lambda t: maybe_drop(surrogate_ffn_forward(t, params.ffn))
+    sab = lambda t: surrogate_attention_forward(t, params.attn)
+    sfb = lambda t: surrogate_ffn_forward(t, params.ffn)
     ln1 = lambda t: T.layer_norm(t, params.ln1_gain, params.ln1_bias)
     ln2 = lambda t: T.layer_norm(t, params.ln2_gain, params.ln2_bias)
     if params.norm_style == "post-ln":

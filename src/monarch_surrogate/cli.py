@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -69,7 +70,8 @@ def _load_config(args, sections: tuple[str, ...]) -> dict:
                 f"unknown {section} config keys: {sorted(unknown)}; allowed: {sorted(defaults)}")
         for key, value in values.items():
             if isinstance(defaults[key], float):
-                ok, kind = isinstance(value, (int, float)), "a number"
+                ok = isinstance(value, (int, float)) and math.isfinite(value)
+                kind = "a finite number"
             else:  # integer keys are counts and sizes
                 ok, kind = isinstance(value, int) and value >= 1, "a positive integer"
             if isinstance(value, bool) or not ok:

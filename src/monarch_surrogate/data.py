@@ -22,6 +22,8 @@ class SineSpec:
             raise ConfigurationError(f"need at least one sample, got {self.samples}")
         if self.period <= 0:
             raise ConfigurationError(f"period must be positive, got {self.period}")
+        if self.noise_std < 0:
+            raise ConfigurationError(f"noise_std must be non-negative, got {self.noise_std}")
         t = np.arange(self.samples)
         z = self.amplitude * np.sin(2.0 * np.pi * t / self.period)
         if self.noise_std > 0.0:

@@ -284,22 +284,6 @@ def activation(a: Tensor, kind: str) -> Tensor:
     return _record(out, bwd, a)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; training-harness only, never in verification paths."""
-    if rate <= 0.0:
-        return a
-    keep = 1.0 - rate
-    mask = (rng.random(a.shape) < keep) / keep
-
-    out = Tensor(a.data * mask)
-
-    def bwd(g):
-        if _wants_grad(a):
-            a.accumulate_grad(g * mask)
-
-    return _record(out, bwd, a)
-
-
 # ---------------------------------------------------------------------------
 # structure: slicing, reshapes
 

@@ -69,7 +69,6 @@ class ForecasterParams:
     the window, and the head flattens the whole window to the forecast.
     """
 
-    variant: str  # 'surrogate' or 'dense'
     l_in: int
     l_out: int
     d_model: int
@@ -88,27 +87,19 @@ class ForecasterParams:
         n_layers: int,
         d_ff: int,
         rng: np.random.Generator,
-        dropout: float = 0.0,
     ) -> "ForecasterParams":
         if variant == "surrogate":
             from .structured import pad_to_square
 
             layers = [
-                EnhancedLayerParams.create(
-                    l_in, d_model, heads, rng,
-                    d_ffn=pad_to_square(d_ff), dropout=dropout,
-                )
+                EnhancedLayerParams.create(l_in, d_model, heads, rng, d_ffn=pad_to_square(d_ff))
                 for _ in range(n_layers)
             ]
         elif variant == "dense":
-            if dropout > 0.0:
-                raise ConfigurationError(
-                    f"dropout={dropout} needs the surrogate variant; dense layers have no dropout")
             layers = [DenseLayerParams.create(d_model, heads, d_ff, rng) for _ in range(n_layers)]
         else:
             raise ConfigurationError(f"unknown variant {variant!r}")
         return cls(
-            variant=variant,
             l_in=l_in,
             l_out=l_out,
             d_model=d_model,
@@ -128,17 +119,16 @@ class ForecasterParams:
         return out
 
 
-def forecaster_forward(
-    x: Tensor,
-    params: ForecasterParams,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """x has shape (l_in, 1); returns the (1, l_out) forecast."""
+def forecaster_forward(x: Tensor, params: ForecasterParams, training: bool = False) -> Tensor:
+    """x has shape (l_in, 1); returns the (1, l_out) forecast.
+
+    Each layer runs the forward of its params type.  `training` has no
+    effect: the forward is the same in training and in evaluation.
+    """
     y = T.matmul(x, params.embed)
     for layer in params.layers:
-        if params.variant == "surrogate":
-            y = enhanced_layer_forward(y, layer, training=training, rng=rng)
+        if isinstance(layer, EnhancedLayerParams):
+            y = enhanced_layer_forward(y, layer)
         else:
             y = dense_layer_forward(y, layer)
     flat = T.reshape(y, (1, params.l_in * params.d_model))
@@ -185,7 +175,6 @@ class TrainConfig:
     lr: float = 3e-3
     epochs: int = 40
     seed: int = 0
-    dropout: float = 0.0
 
 
 @dataclass
@@ -225,10 +214,8 @@ def _eval_mse_mae(params: ForecasterParams, xs: np.ndarray, ys: np.ndarray) -> t
 def train_forecaster(dataset: WindowedDataset, cfg: TrainConfig) -> TrainResult:
     """Minimize per-window MSE with Adam; keep the best-validation weights."""
     rng = np.random.default_rng(cfg.seed)
-    params = ForecasterParams.create(
-        cfg.variant, dataset.l_in, dataset.l_out, cfg.d_model,
-        cfg.heads, cfg.layers, cfg.d_ff, rng, dropout=cfg.dropout,
-    )
+    params = ForecasterParams.create(cfg.variant, dataset.l_in, dataset.l_out, cfg.d_model,
+                                     cfg.heads, cfg.layers, cfg.d_ff, rng)
     opt = Adam(params.parameters(), lr=cfg.lr)
     xs, ys = dataset.train
     best_val = float("inf")
@@ -240,9 +227,7 @@ def train_forecaster(dataset: WindowedDataset, cfg: TrainConfig) -> TrainResult:
         order = rng.permutation(len(xs))
         for i in order:
             with tape_scope() as tape:
-                pred = forecaster_forward(
-                    Tensor(xs[i][:, None]), params, training=True, rng=rng
-                )
+                pred = forecaster_forward(Tensor(xs[i][:, None]), params)
                 diff = T.sub(pred, Tensor(ys[i][None, :]))
                 loss = T.mean_all(T.elementwise_mul(diff, diff))
                 if not np.isfinite(loss.data):

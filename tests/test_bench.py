@@ -15,6 +15,7 @@ from monarch_surrogate.bench import (
     monarch_param_count,
 )
 from monarch_surrogate.errors import ConfigurationError
+from monarch_surrogate.training import ForecasterParams
 
 
 def test_model_config_derived_sizes():
@@ -53,6 +54,21 @@ def test_muladd_counts_reference_values():
     assert surro["layer"]["ffn"] == 2 * 2116 * 96 * (12 + 46)
     with pytest.raises(ConfigurationError):
         count_muladds(cfg, "sparse")
+
+
+@pytest.mark.parametrize("cfg, totals", [
+    (ModelConfig(), {"surrogate": 2_544_384, "dense": 7_475_712}),
+    (ModelConfig(d_model=16, heads=2, n_seq=48, layers=1, d_ff=64),  # msb train sine
+     {"surrogate": 22_544, "dense": 21_584}),
+    (ModelConfig(d_model=15, heads=3, n_seq=30, layers=2, d_ff=40, l_out=7),
+     {"surrogate": 9_539, "dense": 7_485}),
+], ids=["paper", "sine", "odd"])
+@pytest.mark.parametrize("variant", ["surrogate", "dense"])
+def test_param_ledger_matches_live_model(cfg, totals, variant):
+    params = ForecasterParams.create(variant, cfg.n_seq, cfg.l_out, cfg.d_model, cfg.heads,
+                                     cfg.layers, cfg.d_ff, np.random.default_rng(0))
+    live = sum(p.data.size for p in params.parameters())
+    assert live == count_params(cfg, variant)["total"] == totals[variant]
 
 
 def test_efficiency_ratios_are_fractions():

@@ -93,19 +93,6 @@ def test_enhanced_layer_rejects_unknown_norm_style():
         EnhancedLayerParams.create(6, 4, 2, rng, norm_style="sandwich")
 
 
-def test_dropout_only_active_in_training():
-    rng = np.random.default_rng(6)
-    p = EnhancedLayerParams.create(6, 4, 2, rng, dropout=0.5)
-    x = Tensor(rng.standard_normal((6, 4)))
-    eval_a = enhanced_layer_forward(x, p).data
-    eval_b = enhanced_layer_forward(x, p).data
-    assert np.array_equal(eval_a, eval_b)
-    train = enhanced_layer_forward(x, p, training=True, rng=np.random.default_rng(0)).data
-    assert not np.array_equal(train, eval_a)
-    with pytest.raises(ConfigurationError):
-        enhanced_layer_forward(x, p, training=True)
-
-
 def test_parameter_lists_cover_all_learnables():
     rng = np.random.default_rng(7)
     p = EnhancedLayerParams.create(6, 4, 2, rng)

@@ -126,16 +126,6 @@ def test_cli_rejects_sections_the_command_does_not_read(tmp_path, capsys, sectio
     assert not (tmp_path / "r.json").exists()
 
 
-def test_cli_train_dense_rejects_dropout(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"data": {"samples": 80, "period": 8.0, "l_in": 8, "l_out": 4},
-                               "train": {"d_model": 8, "d_ff": 16, "dropout": 0.9}}))
-    args = ["train", "sine", "--variant", "dense", "--epochs", "1", "--config", str(cfg)]
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "dropout" in err
-
-
 def test_cli_seed_precedence(monkeypatch, tmp_path):
     out = tmp_path / "r.json"
     monkeypatch.setenv("MSB_SEED", "5")
@@ -165,9 +155,13 @@ def test_cli_bad_inputs_exit_2(monkeypatch, tmp_path):
         ('{"model": {"heads": 0}}', ["bench", "params"]),  # would divide by zero
         ('{"train": {"heads": 0}}', ["train", "sine"]),
         ('{"model": {"d_model": "512"}}', ["bench", "params"]),
+        ('{"train": {"lr": NaN}}', ["train", "sine"]),  # json reads NaN and Infinity
+        ('{"data": {"amplitude": Infinity}}', ["train", "sine"]),
+        ('{"data": {"noise_std": -0.5}}', ["train", "sine"]),
+        ('{"train": {"dropout": 0.1}}', ["train", "sine"]),  # no layer has dropout
     ],
     ids=["malformed-json", "unknown-train-key", "unknown-data-key", "train-seed", "zero-heads",
-         "train-zero-heads", "non-integer"],
+         "train-zero-heads", "non-integer", "nan", "infinity", "negative-noise", "dropout"],
 )
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, text, command):
     cfg = tmp_path / "cfg.json"

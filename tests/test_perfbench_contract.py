@@ -13,6 +13,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = textwrap.dedent(
@@ -25,10 +27,16 @@ SCRIPT = textwrap.dedent(
     w = W.WORKLOADS["sine-train"]
     s = W.set_up(w)
     tally, tracer = W.Tally(), Tracer()
+    # span name of every function install() rebinds, read before it rebinds them
+    pkg = s.pkg
+    spans = {f"{m}.{a}": layers.span_name(getattr(getattr(pkg, m), a)) for m, a in layers.WRAPPED}
+    spans.update((n, n) for n in map(layers.span_name, (pkg.tensor.Tape.backward,
+                                                        pkg.training.Adam.step)))
     layers.install(tracer, s.pkg)
     gate = gates.run_gates(s, tally)
     out = W.Pass(s, w, 0, tally, tracer).run(0)
     tracer.unwrap_all()
+    fired = {span.name for span in tracer.spans}
     values = layers.span_metrics(tracer, out)
     values.update(layers.role_metrics(s, 0))
     values["structured.muladds_per_fwd"] = gate["muladds_per_fwd"]
@@ -42,12 +50,15 @@ SCRIPT = textwrap.dedent(
         "missing": [n for n in names if n not in values],
         "not_finite": [n for n in names if n in values and not math.isfinite(values[n])],
         "e2e_not_finite": [n for n, (v, _) in e2e.items() if not math.isfinite(v)],
+        "wrapped": len(spans), "span_names": len(set(spans.values())),
+        "unfired": [k for k, n in spans.items() if n not in fired],
     }))
     """
 )
 
 
-def test_perfbench_sine_train_runs_traced_with_no_failed_operation():
+@pytest.fixture(scope="module")
+def result():
     # one BLAS thread, as perfbench/run.py sets; no bytecode written under perfbench/
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "PYTHONDONTWRITEBYTECODE": "1"}
@@ -56,8 +67,18 @@ def test_perfbench_sine_train_runs_traced_with_no_failed_operation():
         capture_output=True, text=True, timeout=300, env=env, cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr[-3000:]
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_perfbench_sine_train_runs_traced_with_no_failed_operation(result):
     assert result["attempted"] > 0
     assert result["failed"] == 0, result["reasons"]
     assert result["missing"] == []
     assert result["not_finite"] == [] and result["e2e_not_finite"] == []
+
+
+def test_perfbench_spans_fire_for_every_wrapped_function(result):
+    # a call that skips the module attribute (a dispatch table bound at
+    # import, say) runs the original function, and its span never fires
+    assert result["wrapped"] == result["span_names"] == 24
+    assert result["unfired"] == []
