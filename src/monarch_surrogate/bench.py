@@ -216,7 +216,7 @@ def measure_wallclock(
     slower.
     """
     rng = np.random.default_rng(seed)
-    cases = [(monarch_new(n, rng=rng, requires_grad=False), Tensor(rng.standard_normal((n, d))))
+    cases = [(monarch_new(n, rng), Tensor(rng.standard_normal((n, d))))
              for n in sizes]
     times: list[list[float]] = [[] for _ in sizes]
     for _ in range(repeats):

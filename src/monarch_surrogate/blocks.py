@@ -29,13 +29,12 @@ from .tensor import Tensor
 class SurrogateAttentionParams:
     heads: int
     d_in: int
-    d_out: int
     m_q: list[MonarchMatrix]  # per head, size d_head
     m_k: list[MonarchMatrix]
     m_v: list[MonarchMatrix]
     m1: MonarchMatrix  # sequence Monarchs, size n_pad
     m2: MonarchMatrix
-    w_out: list[Tensor]  # per head, (d_head, d_out)
+    w_out: list[Tensor]  # per head, (d_head, d_in)
     head_width: int = field(init=False)  # contiguous input chunk per head, d_in // heads
     d_head: int = field(init=False)  # per-head Monarch size, a perfect square
     n_pad: int = field(init=False)  # sequence Monarch size, a perfect square
@@ -52,7 +51,7 @@ class SurrogateAttentionParams:
 
     @classmethod
     def create(
-        cls, n_seq: int, d_in: int, d_out: int, heads: int, rng: np.random.Generator
+        cls, n_seq: int, d_in: int, heads: int, rng: np.random.Generator
     ) -> "SurrogateAttentionParams":
         if d_in % heads != 0:
             raise ConfigurationError(f"d_in={d_in} not divisible by heads={heads}")
@@ -65,27 +64,18 @@ class SurrogateAttentionParams:
         return cls(
             heads=heads,
             d_in=d_in,
-            d_out=d_out,
             m_q=[mk() for _ in range(heads)],
             m_k=[mk() for _ in range(heads)],
             m_v=[mk() for _ in range(heads)],
             m1=m1,
             m2=m2,
             w_out=[
-                Tensor(rng.normal(0.0, w_std, (d_head, d_out)), requires_grad=True)
+                Tensor(rng.normal(0.0, w_std, (d_head, d_in)), requires_grad=True)
                 for _ in range(heads)
             ],
         )
 
-    def parameters(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for group in (self.m_q, self.m_k, self.m_v):
-            for m in group:
-                out.extend(m.parameters())
-        out.extend(self.m1.parameters())
-        out.extend(self.m2.parameters())
-        out.extend(self.w_out)
-        return out
+    parameters = T.parameters
 
 
 @dataclass
@@ -116,8 +106,7 @@ class SurrogateFFNParams:
             raise ConfigurationError(f"d_ffn={d_ffn} must be a perfect square")
         return cls(d_in, monarch_new(d_ffn, rng=rng), monarch_new(d_ffn, rng=rng), sigma)
 
-    def parameters(self) -> list[Tensor]:
-        return self.m1.parameters() + self.m2.parameters()
+    parameters = T.parameters
 
 
 @dataclass
@@ -144,7 +133,7 @@ class EnhancedLayerParams:
         if norm_style not in ("post-ln", "pre-ln"):
             raise ConfigurationError(f"unknown norm style {norm_style!r}")
         return cls(
-            attn=SurrogateAttentionParams.create(n_seq, d_model, d_model, heads, rng),
+            attn=SurrogateAttentionParams.create(n_seq, d_model, heads, rng),
             ffn=SurrogateFFNParams.create(d_model, rng, d_ffn=d_ffn, sigma=sigma),
             norm_style=norm_style,
             ln1_gain=Tensor(np.ones(d_model), requires_grad=True),
@@ -153,12 +142,7 @@ class EnhancedLayerParams:
             ln2_bias=Tensor(np.zeros(d_model), requires_grad=True),
         )
 
-    def parameters(self) -> list[Tensor]:
-        return (
-            self.attn.parameters()
-            + self.ffn.parameters()
-            + [self.ln1_gain, self.ln1_bias, self.ln2_gain, self.ln2_bias]
-        )
+    parameters = T.parameters
 
 
 def structured_projection(
@@ -198,8 +182,8 @@ def surrogate_attention_forward(x: Tensor, params: SurrogateAttentionParams) -> 
     out: Tensor | None = None
     for h in range(params.heads):
         sa = surrogate_mix(qs[h], ks[h], vs[h], params.m1, params.m2)
-        head_out = T.matmul(sa, params.w_out[h])
-        out = head_out if out is None else T.add(out, head_out)
+        term = T.matmul(sa, params.w_out[h])
+        out = term if out is None else T.add(out, term)
     return out
 
 

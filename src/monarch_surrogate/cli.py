@@ -21,15 +21,16 @@ from .training import TrainConfig, train_forecaster
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("MSB_SEED")
-    if env is not None:
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("MSB_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigurationError(f"MSB_SEED must be an integer, got {env!r}")
-    return 0
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 DATA_DEFAULTS = {"samples": 480, "period": 24.0, "amplitude": 1.0,
@@ -162,7 +163,7 @@ def cmd_train(args) -> int:
         {"seed": seed, "data": {**data_cfg, "l_in": l_in, "l_out": l_out},
          "train": tcfg.__dict__}
     )
-    rep["training"] = result.to_dict()
+    rep["training"] = dataclasses.asdict(result)
     print(f"variant={result.variant} epochs={result.epochs_run} "
           f"best_epoch={result.best_epoch} test_mse={result.test_mse:.6f} "
           f"test_mae={result.test_mae:.6f} wall={result.wall_seconds:.1f}s")
@@ -173,8 +174,7 @@ def cmd_train(args) -> int:
 def cmd_report(args) -> int:
     rep = report_mod.read_report(args.path)
     if args.format == "csv":
-        for key, value in report_mod.report_to_rows(rep):
-            print(f"{key},{value}")
+        sys.stdout.write(report_mod.report_csv(rep))
     else:
         print(json.dumps(rep, indent=2, sort_keys=True))
     return 0

@@ -46,8 +46,7 @@ class DenseMHSAParams:
             w_out=w(heads * d_v, d_out),
         )
 
-    def parameters(self) -> list[Tensor]:
-        return self.w_qry + self.w_key + self.w_val + [self.w_out]
+    parameters = T.parameters
 
 
 def dense_mhsa_forward(x: Tensor, params: DenseMHSAParams) -> Tensor:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 
 from .errors import ContractError
@@ -88,9 +89,17 @@ def report_to_rows(report: dict) -> list[tuple[str, object]]:
     return rows
 
 
-def write_report_csv(path, report: dict) -> None:
+def report_csv(report: dict) -> str:
+    """The flattened report as CSV text: a key,value header, then one row per leaf."""
     validate_report(report)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["key", "value"])
+    writer.writerows(report_to_rows(report))
+    return buf.getvalue()
+
+
+def write_report_csv(path, report: dict) -> None:
+    text = report_csv(report)  # validated before the file is touched
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        writer.writerows(report_to_rows(report))
+        fh.write(text)

@@ -30,11 +30,6 @@ from .errors import ConfigurationError, DimensionError
 from .tensor import Tensor
 
 
-def is_perfect_square(n: int) -> bool:
-    b = math.isqrt(n)
-    return b * b == n
-
-
 @dataclass(frozen=True)
 class PermutationSpec:
     """The base-sqrt(n) index map h(i) = floor(i/b) + b*(i mod b).
@@ -49,7 +44,7 @@ class PermutationSpec:
 
 
 def permutation_spec(n: int) -> PermutationSpec:
-    if n < 1 or not is_perfect_square(n):
+    if n < 1 or math.isqrt(n) ** 2 != n:
         raise DimensionError(
             f"permutation_spec requires a perfect-square size, got {n}; use pad_to_square first"
         )
@@ -123,37 +118,20 @@ class MonarchMatrix:
         # 2 factors * b blocks * b*b entries = 2 * n^{3/2}
         return self.left.data.size + self.right.data.size
 
-    def parameters(self) -> list[Tensor]:
-        return [self.left, self.right]
+    parameters = T.parameters
 
 
-def monarch_new(
-    n: int,
-    init: str = "kaiming-block",
-    rng: np.random.Generator | None = None,
-    requires_grad: bool = True,
-) -> MonarchMatrix:
-    """Create a Monarch matrix of perfect-square size n.
+def monarch_new(n: int, rng: np.random.Generator) -> MonarchMatrix:
+    """Create a Monarch matrix of perfect-square size n with learnable factors.
 
-    init 'kaiming-block' draws block entries from normal(0, 1/sqrt(n))
-    (variance 1/b, i.e. per-block fan-in); 'identity-block' makes both
-    factors identity so the dense form reduces to the permutation matrix.
+    Block entries are drawn from normal(0, 1/sqrt(n)) (variance 1/b, i.e.
+    per-block fan-in).
     """
     b = permutation_spec(n).b
-    if init == "kaiming-block":
-        if rng is None:
-            rng = np.random.default_rng()
-        std = n ** -0.25  # variance 1/sqrt(n)
-        left = rng.normal(0.0, std, (b, b, b))
-        right = rng.normal(0.0, std, (b, b, b))
-    elif init == "identity-block":
-        left = np.broadcast_to(np.eye(b), (b, b, b)).copy()
-        right = left.copy()
-    else:
-        raise ConfigurationError(f"unknown init {init!r}")
+    std = n ** -0.25  # variance 1/sqrt(n)
     return MonarchMatrix(
-        left=Tensor(left, requires_grad=requires_grad),
-        right=Tensor(right, requires_grad=requires_grad),
+        left=Tensor(rng.normal(0.0, std, (b, b, b)), requires_grad=True),
+        right=Tensor(rng.normal(0.0, std, (b, b, b)), requires_grad=True),
     )
 
 

@@ -8,6 +8,7 @@ runs on fresh tapes are bit-identical.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -47,6 +48,20 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+def parameters(obj) -> list[Tensor]:
+    """Every Tensor a params dataclass holds, in field declaration order.
+
+    Lists and nested params dataclasses are walked in place.
+    """
+    if isinstance(obj, Tensor):
+        return [obj]
+    if isinstance(obj, list):
+        return [t for item in obj for t in parameters(item)]
+    if dataclasses.is_dataclass(obj):
+        return parameters([getattr(obj, f.name) for f in dataclasses.fields(obj)])
+    return []
 
 
 class Tape:

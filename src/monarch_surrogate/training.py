@@ -46,11 +46,7 @@ class DenseLayerParams:
             ln2_bias=Tensor(np.zeros(d_model), requires_grad=True),
         )
 
-    def parameters(self) -> list[Tensor]:
-        return self.attn.parameters() + [
-            self.w1, self.w2,
-            self.ln1_gain, self.ln1_bias, self.ln2_gain, self.ln2_bias,
-        ]
+    parameters = T.parameters
 
 
 def dense_layer_forward(x: Tensor, params: DenseLayerParams) -> Tensor:
@@ -111,12 +107,7 @@ class ForecasterParams:
             ),
         )
 
-    def parameters(self) -> list[Tensor]:
-        out = [self.embed]
-        for layer in self.layers:
-            out.extend(layer.parameters())
-        out.append(self.head)
-        return out
+    parameters = T.parameters
 
 
 def forecaster_forward(x: Tensor, params: ForecasterParams, training: bool = False) -> Tensor:
@@ -188,18 +179,6 @@ class TrainResult:
     failed: bool = False
     wall_seconds: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "epochs_run": self.epochs_run,
-            "best_epoch": self.best_epoch,
-            "val_mse": self.val_mse,
-            "test_mse": self.test_mse,
-            "test_mae": self.test_mae,
-            "failed": self.failed,
-            "wall_seconds": self.wall_seconds,
-        }
-
 
 def _eval_mse_mae(params: ForecasterParams, xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     se = 0.0
@@ -213,6 +192,8 @@ def _eval_mse_mae(params: ForecasterParams, xs: np.ndarray, ys: np.ndarray) -> t
 
 def train_forecaster(dataset: WindowedDataset, cfg: TrainConfig) -> TrainResult:
     """Minimize per-window MSE with Adam; keep the best-validation weights."""
+    if cfg.lr <= 0 or cfg.epochs < 1:
+        raise ConfigurationError(f"need lr > 0 and epochs >= 1, got lr={cfg.lr}, epochs={cfg.epochs}")
     rng = np.random.default_rng(cfg.seed)
     params = ForecasterParams.create(cfg.variant, dataset.l_in, dataset.l_out, cfg.d_model,
                                      cfg.heads, cfg.layers, cfg.d_ff, rng)
@@ -244,9 +225,9 @@ def train_forecaster(dataset: WindowedDataset, cfg: TrainConfig) -> TrainResult:
         if val < best_val:
             best_val = val
             best_epoch = epoch
-            best_state = [p.data.copy() for p in params.parameters()]
+            best_state = [p.data.copy() for p in opt.params]
     if best_state:
-        for p, saved in zip(params.parameters(), best_state):
+        for p, saved in zip(opt.params, best_state):
             p.data = saved
     test_mse, test_mae = _eval_mse_mae(params, *dataset.test)
     return TrainResult(

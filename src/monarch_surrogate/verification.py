@@ -87,7 +87,7 @@ def check_monarch_oracle(sizes=(4, 16, 64, 256), seeds: int = 100, d: int = 3) -
 def check_parameter_law(sizes=(4, 16, 64, 256, 1024)) -> CheckResult:
     worst = 0.0
     for n in sizes:
-        m = monarch_new(n, init="identity-block")
+        m = monarch_new(n, np.random.default_rng(n))
         expected = 2 * round(n**1.5)
         worst = max(worst, abs(m.param_count - expected))
     return CheckResult("parameter_law", worst, 0.0, len(sizes))
@@ -230,7 +230,7 @@ def check_lti_decomposition(n: int = 16, d_head: int = 4, seeds: int = 100) -> C
     worst = 0.0
     for seed in range(seeds):
         rng = np.random.default_rng(seed)
-        params = SurrogateAttentionParams.create(n, d_head, d_head, heads=1, rng=rng)
+        params = SurrogateAttentionParams.create(n, d_head, heads=1, rng=rng)
         if params.n_pad != n:
             raise ConfigurationError(f"n={n} must be a perfect square for this check")
         x = rng.standard_normal((n, d_head))
@@ -271,7 +271,7 @@ def _dense_sab_oracle(x: np.ndarray, params: SurrogateAttentionParams) -> np.nda
     w, d_head, n_pad = params.head_width, params.d_head, params.n_pad
     m1 = monarch_to_dense(params.m1)
     m2 = monarch_to_dense(params.m2)
-    out = np.zeros((n, params.d_out))
+    out = np.zeros((n, params.d_in))
     for h in range(params.heads):
         chunk = x[:, h * w : (h + 1) * w]
         chunk = np.pad(chunk, ((0, 0), (0, d_head - w)))
@@ -302,7 +302,7 @@ def check_sab_oracle(sizes=((4, 4), (16, 8), (64, 16)), heads: int = 2, seeds: i
     for n, d in sizes:
         for seed in range(seeds):
             rng = np.random.default_rng(seed)
-            params = SurrogateAttentionParams.create(n, d, d, heads=heads, rng=rng)
+            params = SurrogateAttentionParams.create(n, d, heads=heads, rng=rng)
             x = rng.standard_normal((n, d))
             fast = surrogate_attention_forward(Tensor(x), params).data
             worst = max(worst, float(np.abs(fast - _dense_sab_oracle(x, params)).max()))
@@ -378,10 +378,10 @@ def run_all(config: VerifyConfig | None = None) -> list[CheckResult]:
                         check_theorem_diagonal(n, lam, heads, seeds=config.seeds_theorem)
                     )
             for lam in (1, 2, 4):
-                if keep(f"theorem_vertical_n{n}_lam{lam}_h{heads}"):
-                    checks.extend(
-                        check_theorem_vertical(n, lam, heads, seeds=config.seeds_theorem)
-                    )
+                tag = f"n{n}_lam{lam}_h{heads}"
+                if keep(f"theorem_vertical_{tag}") or keep(f"theorem_vertical_rows_{tag}"):
+                    pair = check_theorem_vertical(n, lam, heads, seeds=config.seeds_theorem)
+                    checks.extend(c for c in pair if keep(c.name))
     for mode in ("short_term", "long_term"):
         for n in (4, 16):
             for k in (1, n - 1):
@@ -397,4 +397,6 @@ def run_all(config: VerifyConfig | None = None) -> list[CheckResult]:
         checks.append(check_sfb_oracle(seeds=config.seeds_block_oracle))
     if keep("layer_gradients"):
         checks.append(check_layer_gradients(probes=config.gradient_probes))
+    if not checks:
+        raise ConfigurationError(f"no check name contains any of {config.select}")
     return checks

@@ -16,6 +16,7 @@ from monarch_surrogate.blocks import (
 from monarch_surrogate.errors import ConfigurationError, DimensionError
 from monarch_surrogate.structured import pad_to_square
 from monarch_surrogate.tensor import LAYER_NORM_EPS, Tensor
+from monarch_surrogate.training import DenseLayerParams, ForecasterParams
 from monarch_surrogate.verification import (
     THRESH_BLOCK_ORACLE,
     _dense_sab_oracle,
@@ -25,7 +26,7 @@ from monarch_surrogate.verification import (
 
 def test_attention_params_shapes():
     rng = np.random.default_rng(0)
-    p = SurrogateAttentionParams.create(96, 32, 32, heads=4, rng=rng)
+    p = SurrogateAttentionParams.create(96, 32, heads=4, rng=rng)
     assert p.head_width == 8
     assert p.d_head == 9
     assert p.n_pad == 100
@@ -36,13 +37,13 @@ def test_attention_params_shapes():
 def test_attention_rejects_indivisible_heads():
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigurationError):
-        SurrogateAttentionParams.create(16, 10, 10, heads=3, rng=rng)
+        SurrogateAttentionParams.create(16, 10, heads=3, rng=rng)
 
 
 @pytest.mark.parametrize("n,d,heads", [(4, 4, 1), (16, 8, 2), (10, 6, 3)])
 def test_attention_matches_dense_oracle(n, d, heads):
     rng = np.random.default_rng(n + d)
-    p = SurrogateAttentionParams.create(n, d, d, heads=heads, rng=rng)
+    p = SurrogateAttentionParams.create(n, d, heads=heads, rng=rng)
     x = rng.standard_normal((n, d))
     fast = surrogate_attention_forward(Tensor(x), p).data
     assert fast.shape == (n, d)
@@ -51,7 +52,7 @@ def test_attention_matches_dense_oracle(n, d, heads):
 
 def test_attention_input_validation():
     rng = np.random.default_rng(1)
-    p = SurrogateAttentionParams.create(4, 4, 4, heads=2, rng=rng)
+    p = SurrogateAttentionParams.create(4, 4, heads=2, rng=rng)
     with pytest.raises(DimensionError):
         surrogate_attention_forward(Tensor(np.zeros((4, 5))), p)
     with pytest.raises(DimensionError):
@@ -95,12 +96,24 @@ def test_enhanced_layer_rejects_unknown_norm_style():
 
 def test_parameter_lists_cover_all_learnables():
     rng = np.random.default_rng(7)
-    p = EnhancedLayerParams.create(6, 4, 2, rng)
-    params = p.parameters()
-    # 3 QKV Monarchs x 2 heads x 2 factors + M1/M2 x 2 + 2 W_out
+    # surrogate layer: 3 QKV Monarchs x 2 heads x 2 factors + M1/M2 x 2 + 2 W_out
     #   + FFN 2 Monarchs x 2 + 4 layer-norm tensors
-    assert len(params) == 12 + 4 + 2 + 4 + 4
-    assert len({id(t) for t in params}) == len(params)
+    # dense layer: 3 x 2 per-head projections + W_out + W1, W2 + 4 layer-norm tensors
+    per_layer = {"surrogate": 12 + 4 + 2 + 4 + 4, "dense": 6 + 1 + 2 + 4}
+    layers = {
+        "surrogate": EnhancedLayerParams.create(6, 4, 2, rng),
+        "dense": DenseLayerParams.create(4, 2, 8, rng),
+    }
+    for variant, layer in layers.items():
+        params = layer.parameters()
+        assert len(params) == per_layer[variant]
+        assert len({id(t) for t in params}) == len(params)
+        assert all(t.requires_grad for t in params)
+        model = ForecasterParams.create(variant, 6, 3, 4, 2, 2, 8, rng)
+        params = model.parameters()
+        assert len(params) == 2 * per_layer[variant] + 2
+        assert len({id(t) for t in params}) == len(params)
+        assert params[0] is model.embed and params[-1] is model.head
 
 
 # random shapes: any sequence length (square or not) and head widths that

@@ -136,11 +136,31 @@ def test_cli_seed_precedence(monkeypatch, tmp_path):
     assert read_report(out)["config"]["seed"] == 9
 
 
+@pytest.mark.parametrize("command", [["train", "sine", "--epochs", "1"], ["bench", "flops"]])
+def test_cli_negative_seed_exits_2_with_one_line(monkeypatch, capsys, command):
+    assert main(command + ["--seed", "-1"]) == 2
+    monkeypatch.setenv("MSB_SEED", "-4")
+    assert main(command) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("error: seed") for line in lines)
+
+
+def test_report_show_csv_equals_written_csv(tmp_path, capsys):
+    base = ["verify", "--quick", "--select", "parameter_law", "--out"]
+    assert main(base + [str(tmp_path / "r.json")]) == 0
+    assert main(base + [str(tmp_path / "r.csv"), "--format", "csv"]) == 0
+    capsys.readouterr()
+    assert main(["report", "show", str(tmp_path / "r.json"), "--format", "csv"]) == 0
+    with open(tmp_path / "r.csv", newline="") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 def test_cli_bad_inputs_exit_2(monkeypatch, tmp_path):
     assert main(["report", "show", str(tmp_path / "missing.json")]) == 2
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text(json.dumps({"model": {"width": 3}}))
     assert main(["bench", "params", "--config", str(bad_cfg)]) == 2
+    assert main(["verify", "--quick", "--select", "no_such_check"]) == 2
     monkeypatch.setenv("MSB_SEED", "not-a-number")
     assert main(["verify", "--quick", "--select", "parameter_law"]) == 2
 
@@ -159,13 +179,18 @@ def test_cli_bad_inputs_exit_2(monkeypatch, tmp_path):
         ('{"data": {"amplitude": Infinity}}', ["train", "sine"]),
         ('{"data": {"noise_std": -0.5}}', ["train", "sine"]),
         ('{"train": {"dropout": 0.1}}', ["train", "sine"]),  # no layer has dropout
+        ('{"train": {"lr": -0.003}}', ["train", "sine"]),  # would climb the loss
+        ('{"train": {"lr": 0}}', ["train", "sine"]),
+        ('{}', ["train", "sine", "--epochs", "0"]),  # overrides the default --epochs 1
     ],
     ids=["malformed-json", "unknown-train-key", "unknown-data-key", "train-seed", "zero-heads",
-         "train-zero-heads", "non-integer", "nan", "infinity", "negative-noise", "dropout"],
+         "train-zero-heads", "non-integer", "nan", "infinity", "negative-noise", "dropout",
+         "negative-lr", "zero-lr", "zero-epochs"],
 )
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, text, command):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
-    assert main(command + ["--epochs", "1"] * (command[0] == "train") + ["--config", str(cfg)]) == 2
+    argv = command[:2] + ["--epochs", "1"] * (command[0] == "train") + command[2:]
+    assert main(argv + ["--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

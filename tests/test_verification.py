@@ -97,4 +97,16 @@ def test_run_all_select_filters():
     names = {c.name for c in checks}
     assert names == {"parameter_law", "lti_decomposition"}
     assert all(c.passed for c in checks)
+    with pytest.raises(ConfigurationError, match="no_such_check"):
+        V.run_all(V.VerifyConfig(select=["no_such_check"]))
 
+
+
+def test_every_reported_check_can_be_selected_by_name():
+    # the seed counts of `msb verify --quick`
+    quick = dict(seeds_oracle=10, seeds_theorem=10, seeds_expressiveness=50,
+                 seeds_lti=10, seeds_block_oracle=5, gradient_probes=10)
+    names = [c.name for c in V.run_all(V.VerifyConfig(**quick))]
+    assert len(names) == 95
+    for name in names:
+        assert name in {c.name for c in V.run_all(V.VerifyConfig(**quick, select=[name]))}
