@@ -6,8 +6,13 @@ The attention replacement computes, per head,
 
 with learnable sequence-axis Monarchs M1, M2 and Monarch-projected Q, K, V,
 then sums head outputs through per-head dense output projections.  There is
-no softmax and no 1/sqrt(Dk) scaling anywhere in this path.  The FFN
-replacement is Y = sigma(X @ M1) @ M2 on the feature axis.
+no softmax and no 1/sqrt(Dk) scaling anywhere in this path.  The heads run
+side by side: Q, K and V are each one grouped Monarch with a group per head,
+so every head's projection is one apply; M1 and M2 act on the sequence axis,
+so one apply mixes the head-stacked (n, heads * d_head) columns of all heads
+at once; and the head sum is one matmul, concat_h(SA_h) @ W with W the
+row-stacked output projections.  The FFN replacement is Y = sigma(X @ M1) @ M2
+on the feature axis.
 
 The params objects hold only what is learned or chosen; every size (head
 width, Monarch sizes) is derived from the factor stacks once, at construction.
@@ -15,7 +20,9 @@ width, Monarch sizes) is derived from the factor stacks once, at construction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -25,29 +32,84 @@ from .structured import MonarchMatrix, monarch_apply, monarch_new, pad_to_square
 from .tensor import Tensor
 
 
+def _view(t: Tensor, index) -> Tensor:
+    """A read-only Tensor over t.data[index], sharing t's memory."""
+    data = t.data[index]
+    data.flags.writeable = False
+    return Tensor(data, requires_grad=t.requires_grad)
+
+
+def _group(m: MonarchMatrix, h: int) -> MonarchMatrix:
+    return MonarchMatrix(_view(m.left, h), _view(m.right, h))
+
+
+class _HeadViews:
+    """Read-only per-head views of one stack, each built when indexed.
+
+    Nothing is stored, so a view follows its stack through in-place updates
+    and through rebinding of the stack's `.data`.
+    """
+
+    def __init__(self, heads: int, view: Callable[[int], object]):
+        self._heads, self._view = range(heads), view
+
+    def __len__(self) -> int:
+        return len(self._heads)
+
+    def __getitem__(self, h: int):
+        return self._view(self._heads[operator.index(h)])  # one head: no slices
+
+
 @dataclass
 class SurrogateAttentionParams:
     heads: int
     d_in: int
-    m_q: list[MonarchMatrix]  # per head, size d_head
-    m_k: list[MonarchMatrix]
-    m_v: list[MonarchMatrix]
+    q_stack: MonarchMatrix  # one group per head, size d_head
+    k_stack: MonarchMatrix
+    v_stack: MonarchMatrix
     m1: MonarchMatrix  # sequence Monarchs, size n_pad
     m2: MonarchMatrix
-    w_out: list[Tensor]  # per head, (d_head, d_in)
+    w_stack: Tensor  # (heads * d_head, d_in): head h's output projection in rows h*d_head..
     head_width: int = field(init=False)  # contiguous input chunk per head, d_in // heads
     d_head: int = field(init=False)  # per-head Monarch size, a perfect square
     n_pad: int = field(init=False)  # sequence Monarch size, a perfect square
 
     def __post_init__(self):
         self.head_width = self.d_in // self.heads
-        self.d_head, self.n_pad = self.m_q[0].n, self.m1.n
+        self.d_head, self.n_pad = self.q_stack.n, self.m1.n
         if self.head_width * self.heads != self.d_in or self.head_width > self.d_head:
             raise ConfigurationError(
                 f"{self.heads} heads of Monarch size {self.d_head} do not fit d_in={self.d_in}"
             )
+        stacked = (self.heads * self.d_head, self.d_in)
+        qkv = (self.q_stack, self.k_stack, self.v_stack)
+        if any((m.groups, m.n) != (self.heads, self.d_head) for m in qkv) or (
+            self.w_stack.shape != stacked
+        ):
+            raise DimensionError(
+                f"need Q/K/V stacks of {self.heads} Monarchs of size {self.d_head} "
+                f"and a {stacked} output stack"
+            )
         if self.m2.n != self.n_pad:
             raise DimensionError(f"sequence Monarchs have sizes {self.n_pad} and {self.m2.n}")
+
+    @property
+    def m_q(self) -> _HeadViews:
+        return _HeadViews(self.heads, lambda h: _group(self.q_stack, h))
+
+    @property
+    def m_k(self) -> _HeadViews:
+        return _HeadViews(self.heads, lambda h: _group(self.k_stack, h))
+
+    @property
+    def m_v(self) -> _HeadViews:
+        return _HeadViews(self.heads, lambda h: _group(self.v_stack, h))
+
+    @property
+    def w_out(self) -> _HeadViews:
+        """Head h's (d_head, d_in) output projection: rows h*d_head.. of w_stack."""
+        dh = self.d_head
+        return _HeadViews(self.heads, lambda h: _view(self.w_stack, slice(h * dh, (h + 1) * dh)))
 
     @classmethod
     def create(
@@ -59,21 +121,16 @@ class SurrogateAttentionParams:
         n_pad = pad_to_square(n_seq)
         m1 = monarch_new(n_pad, rng=rng)
         m2 = monarch_new(n_pad, rng=rng)
-        mk = lambda: monarch_new(d_head, rng=rng)
-        w_std = d_head**-0.5
-        return cls(
-            heads=heads,
-            d_in=d_in,
-            m_q=[mk() for _ in range(heads)],
-            m_k=[mk() for _ in range(heads)],
-            m_v=[mk() for _ in range(heads)],
-            m1=m1,
-            m2=m2,
-            w_out=[
-                Tensor(rng.normal(0.0, w_std, (d_head, d_in)), requires_grad=True)
-                for _ in range(heads)
-            ],
-        )
+
+        def stack() -> MonarchMatrix:  # head by head, each drawing L then R
+            ms = [monarch_new(d_head, rng=rng) for _ in range(heads)]
+            grouped = lambda fs: Tensor(np.stack([f.data for f in fs]), requires_grad=True)
+            return MonarchMatrix(grouped([m.left for m in ms]), grouped([m.right for m in ms]))
+
+        q_stack, k_stack, v_stack = stack(), stack(), stack()
+        # one draw of heads * d_head rows fills the rows the per-head draws would
+        w_stack = Tensor(rng.normal(0.0, d_head**-0.5, (heads * d_head, d_in)), requires_grad=True)
+        return cls(heads, d_in, q_stack, k_stack, v_stack, m1, m2, w_stack)
 
     parameters = T.parameters
 
@@ -148,28 +205,30 @@ class EnhancedLayerParams:
 def structured_projection(
     x: Tensor, params: SurrogateAttentionParams
 ) -> tuple[list[Tensor], list[Tensor], list[Tensor]]:
-    """Split x into per-head column chunks and Monarch-project each to Q/K/V."""
+    """Monarch-project x's per-head column chunks to head-stacked Q, K, V.
+
+    Each of Q, K, V is one grouped right apply, returned as a one-element
+    list: head h's chunk (columns h*w..) meets head h's Monarch, columns w..
+    of each chunk are implicit zeros, and head h's result fills columns
+    h*d_head.. of the (n, heads * d_head) output.
+    """
     n = x.shape[0]
     if n > params.n_pad:
         raise DimensionError(f"sequence length {n} exceeds padded size {params.n_pad}")
     if x.shape[1] != params.d_in:
         raise DimensionError(f"input width {x.shape[1]} != d_in {params.d_in}")
-    w = params.head_width
-    qs, ks, vs = [], [], []
-    for h in range(params.heads):
-        # columns w.. of the chunk are implicit zeros of the d_head-wide apply
-        chunk = T.slice_range(x, h * w, (h + 1) * w, 1)
-        qs.append(monarch_apply(params.m_q[h], chunk, "right"))
-        ks.append(monarch_apply(params.m_k[h], chunk, "right"))
-        vs.append(monarch_apply(params.m_v[h], chunk, "right"))
+    qs, ks, vs = ([monarch_apply(m, x, "right")]
+                  for m in (params.q_stack, params.k_stack, params.v_stack))
     return qs, ks, vs
 
 
 def surrogate_mix(q: Tensor, k: Tensor, v: Tensor, m1: MonarchMatrix, m2: MonarchMatrix) -> Tensor:
-    """One head's sequence mixing M2 ((M1 Q) . K) . V for (n, w) Q, K, V, n <= m1.n.
+    """Sequence mixing M2 ((M1 Q) . K) . V for (n, w) Q, K, V, n <= m1.n.
 
-    Rows n.. of Q, K, V are implicit zeros, and so are those rows of
-    (M1 Q) . K; only the n rows that survive . V are computed.
+    Every column is mixed alike, so the columns may be one head's or the
+    head-stacked columns of all heads.  Rows n.. of Q, K, V are implicit
+    zeros, and so are those rows of (M1 Q) . K; only the n rows that
+    survive . V are computed.
     """
     n = q.shape[0]
     a = T.elementwise_mul(monarch_apply(m1, q, "left", n), k)
@@ -177,14 +236,9 @@ def surrogate_mix(q: Tensor, k: Tensor, v: Tensor, m1: MonarchMatrix, m2: Monarc
 
 
 def surrogate_attention_forward(x: Tensor, params: SurrogateAttentionParams) -> Tensor:
-    """Head sum: sum_h [M2 ((M1 Q_h) . K_h) . V_h] W_out_h."""
-    qs, ks, vs = structured_projection(x, params)
-    out: Tensor | None = None
-    for h in range(params.heads):
-        sa = surrogate_mix(qs[h], ks[h], vs[h], params.m1, params.m2)
-        term = T.matmul(sa, params.w_out[h])
-        out = term if out is None else T.add(out, term)
-    return out
+    """Head sum sum_h [M2 ((M1 Q_h) . K_h) . V_h] W_out_h, as concat_h(SA_h) @ W."""
+    (q,), (k,), (v,) = structured_projection(x, params)
+    return T.matmul(surrogate_mix(q, k, v, params.m1, params.m2), params.w_stack)
 
 
 def surrogate_ffn_forward(x: Tensor, params: SurrogateFFNParams) -> Tensor:

@@ -4,10 +4,13 @@ A Monarch matrix of size n (a perfect square, block size b = sqrt(n)) is the
 product P . L . P . R . P of a fixed grid-transpose permutation P and two
 learnable block-diagonal factors.  A `MonarchMatrix` holds only the two
 (b, b, b) factor stacks: n and b are read off them once, at construction,
-and P is fixed by n.  The factored apply views its operand as a (b, b, d)
-stack, so P is a swap of the two grid axes and each factor is one batched
-matmul; the whole apply is a single tape node with a hand-written backward,
-and the right apply is the left apply of the transpose.
+and P is fixed by n.  The stacks may carry a leading group axis, (g, b, b, b):
+g Monarchs of one size applied side by side, group i to column chunk i of
+the operand.  The factored apply views its operand as a (g, b, b, d) stack,
+so P is a swap of the two grid axes and each factor is one batched matmul
+over every group and block; the whole apply is a single tape node with a
+hand-written backward, and the right apply is the left apply of the
+transpose.
 
 The apply takes padding as block shapes rather than as zeros: an operand
 with k < n rows stands for its zero-padded self, and the first factor
@@ -84,6 +87,7 @@ def monarch_apply_muladds(n: int, d: int, k: int | None = None, size: int | None
 
     Each factor costs b * b * d per grid row it touches: ceil(k/b) for the
     first, ceil(size/b) for the second; 2 * n^{3/2} * d when k = size = n.
+    A grouped Monarch costs this once per group, with d, k, size per group.
     """
     b = math.isqrt(n)
     k = n if k is None else k
@@ -95,27 +99,32 @@ def monarch_apply_muladds(n: int, d: int, k: int | None = None, size: int | None
 class MonarchMatrix:
     """n-by-n map factored as P . L . P . R . P with learnable L, R blocks.
 
-    Only the factors are stored; n = b * b and b are set from their (b, b, b)
-    shape at construction (plain attributes: the apply reads both every call).
+    Only the factors are stored; n = b * b, b and the group count are set
+    from their shape at construction (plain attributes: the apply reads them
+    every call).  A grouped Monarch is `groups` Monarchs of size n stacked
+    on a leading axis; an ungrouped one has groups = 1.
     """
 
-    left: Tensor  # (b, b, b) stack: diagonal blocks of L
-    right: Tensor  # (b, b, b) stack: diagonal blocks of R
+    left: Tensor  # (b, b, b) or (groups, b, b, b) stack: diagonal blocks of L
+    right: Tensor  # same shape: diagonal blocks of R
     n: int = field(init=False)
     b: int = field(init=False)
+    groups: int = field(init=False)
 
     def __post_init__(self):
-        b = self.left.shape[0] if self.left.data.ndim == 3 else 0
-        if b < 1 or self.left.shape != (b, b, b) or self.right.shape != (b, b, b):
+        shape = self.left.shape
+        b = shape[-1] if len(shape) in (3, 4) else 0
+        if b < 1 or shape[-3:] != (b, b, b) or self.right.shape != shape or 0 in shape:
             raise DimensionError(
-                f"Monarch factors must be two (b, b, b) stacks of one b >= 1, "
-                f"got {self.left.shape} and {self.right.shape}"
+                f"Monarch factors must be two (b, b, b) or (g, b, b, b) stacks of one "
+                f"b >= 1, got {self.left.shape} and {self.right.shape}"
             )
         self.n, self.b = b * b, b
+        self.groups = shape[0] if len(shape) == 4 else 1
 
     @property
     def param_count(self) -> int:
-        # 2 factors * b blocks * b*b entries = 2 * n^{3/2}
+        # per group: 2 factors * b blocks * b*b entries = 2 * n^{3/2}
         return self.left.data.size + self.right.data.size
 
     parameters = T.parameters
@@ -161,7 +170,9 @@ def block_diag_dense(blocks: np.ndarray) -> np.ndarray:
 
 
 def monarch_to_dense(m: MonarchMatrix) -> np.ndarray:
-    """Materialize P.L.P.R.P; oracle/test use only."""
+    """Materialize P.L.P.R.P of an ungrouped Monarch; oracle/test use only."""
+    if m.left.data.ndim != 3:
+        raise DimensionError(f"monarch_to_dense takes one Monarch, got {m.groups} groups")
     h = permutation_spec(m.n).map
     ldense = block_diag_dense(m.left.data)
     rdense = block_diag_dense(m.right.data)
@@ -170,25 +181,42 @@ def monarch_to_dense(m: MonarchMatrix) -> np.ndarray:
 
 
 def _to_grid(cols: np.ndarray, b: int) -> np.ndarray:
-    """P on k <= n columns given as a (k, d) array: a fresh (b, ceil(k/b), d) stack.
+    """P on k <= n rows of g column stacks (g, k, d): a fresh (g, b, ceil(k/b), d) stack.
 
-    out[j, i] holds cols[i*b + j].  Only the grid rows that can be nonzero
-    are kept, and the unfilled tail of the last one is zero.
+    out[:, j, i] holds cols[:, i*b + j].  Only the grid rows that can be
+    nonzero are kept, and the unfilled tail of the last one is zero.
     """
-    k, d = cols.shape
+    g, k, d = cols.shape
     full, rows = k // b, -(-k // b)
-    z = np.empty((b, rows, d))
-    zt = z.transpose(1, 0, 2)
-    zt[:full] = cols[: full * b].reshape(full, b, d)
+    z = np.empty((g, b, rows, d))
+    zt = z.transpose(0, 2, 1, 3)
+    zt[:, :full] = cols[:, : full * b].reshape(g, full, b, d)
     if full < rows:
-        zt[full, : k - full * b] = cols[full * b :]
-        zt[full, k - full * b :] = 0.0
+        zt[:, full, : k - full * b] = cols[:, full * b :]
+        zt[:, full, k - full * b :] = 0.0
     return z
 
 
 def _t(a: np.ndarray) -> np.ndarray:
     """Transpose the last two axes: a matrix, or each block of a stack."""
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
+
+
+def _stack(a: np.ndarray, g: int, flip: bool) -> np.ndarray:
+    """The (g, k, d) columns a Monarch's g groups act on, as a view of a.
+
+    Left (flip False): a is (k, g*d) and group i takes column chunk i.
+    Right (flip True): a is (d, g*k) and group i takes column chunk i, transposed.
+    """
+    r, c = a.shape
+    s = a.reshape(r, g, c // g)
+    return s.transpose(1, 2, 0) if flip else s.transpose(1, 0, 2)
+
+
+def _unstack(s: np.ndarray, flip: bool) -> np.ndarray:
+    """Inverse of `_stack`: (g, k, d) group columns back to a 2-D operand."""
+    t = s.transpose(2, 0, 1) if flip else s.transpose(1, 0, 2)
+    return t.reshape(t.shape[0], -1)
 
 
 def monarch_apply(m: MonarchMatrix, x: Tensor, side: str, size: int | None = None) -> Tensor:
@@ -198,7 +226,10 @@ def monarch_apply(m: MonarchMatrix, x: Tensor, side: str, size: int | None = Non
     'right' computes (x @ dense(M))[:, :size] for x of shape (d, k), as the
     left apply of x^T with the transposed Monarch, dense(M)^T = P.R^T.P.L^T.P.
     The n - k missing rows (left) or columns (right) of x are implicit zeros,
-    and size defaults to n.  Both sides run the same code on the (b, b, d)
+    and size defaults to n.  A grouped Monarch splits x's columns into
+    `groups` equal chunks and applies group i to chunk i, on either side: the
+    result is the chunks' results side by side, (size, g*d) left or
+    (d, g*size) right.  Every case runs the same code on the (g, b, b, d)
     stack of columns: the first factor multiplies only the ceil(k/b) grid rows
     x can fill, the second computes only the ceil(size/b) grid rows kept, and
     each product is written straight into its grid-transposed slot.
@@ -207,42 +238,45 @@ def monarch_apply(m: MonarchMatrix, x: Tensor, side: str, size: int | None = Non
         raise ConfigurationError(f"side must be 'left' or 'right', got {side!r}")
     flip = side == "right"
     orient = _t if flip else (lambda a: a)
-    n, b = m.n, m.b
-    if x.data.ndim != 2 or not 1 <= orient(x.data).shape[0] <= n:
+    n, b, g = m.n, m.b, m.groups
+    if x.data.ndim != 2 or x.shape[1] % g:
+        raise DimensionError(f"{side} apply: x has shape {x.shape}, not {g} equal column chunks")
+    cols = _stack(x.data, g, flip)  # (g, k, d): the columns each group acts on
+    _, k, d = cols.shape
+    if not 1 <= k <= n:
         raise DimensionError(f"{side} apply: x has shape {x.shape}, Monarch size is {n}")
     size = n if size is None else size
     if not 1 <= size <= n:
         raise DimensionError(f"{side} apply: size {size} outside 1..{n}")
-    cols = orient(x.data)  # (k, d): the columns the Monarch acts on
-    k, d = cols.shape
     kb, mb = -(-k // b), -(-size // b)
     # P.L.P.R.P applies R first; its transpose P.R^T.P.L^T.P applies L^T first
     first, second = (m.left, m.right) if flip else (m.right, m.left)
-    f = orient(first.data)[:, :, :kb]  # meets only the grid rows x can fill
-    s = orient(second.data)[:, :mb, :]  # makes only the grid rows kept
-    z = _to_grid(cols, b)  # (b, kb, d)
-    u = np.empty((b, b, d))
-    np.matmul(f, z, out=u.transpose(1, 0, 2))
-    v = np.empty((mb, b, d))
-    np.matmul(s, u, out=v.transpose(1, 0, 2))
-    out = Tensor(np.ascontiguousarray(orient(v.reshape(mb * b, d)[:size])))
+    # an ungrouped (b, b, b) stack broadcasts over the one group
+    f = orient(first.data)[..., :kb]  # meets only the grid rows x can fill
+    s = orient(second.data)[..., :mb, :]  # makes only the grid rows kept
+    z = _to_grid(cols, b)  # (g, b, kb, d)
+    u = np.empty((g, b, b, d))
+    np.matmul(f, z, out=u.transpose(0, 2, 1, 3))
+    v = np.empty((g, mb, b, d))
+    np.matmul(s, u, out=v.transpose(0, 2, 1, 3))
+    out = Tensor(np.ascontiguousarray(_unstack(v.reshape(g, mb * b, d)[:, :size], flip)))
 
-    def bwd(g):
-        gv = _to_grid(orient(g), b)  # (b, mb, d)
+    def bwd(grad):
+        gv = _to_grid(_stack(grad, g, flip), b)  # (g, b, mb, d)
         if T._wants_grad(second):
-            ds = np.zeros((b, b, b))
-            np.matmul(gv, _t(u), out=ds[:, :mb, :])
-            second.accumulate_grad(orient(ds))
-        gu = np.empty((b, b, d))
-        np.matmul(_t(s), gv, out=gu.transpose(1, 0, 2))
+            ds = np.zeros((g, b, b, b))
+            np.matmul(gv, _t(u), out=ds[..., :mb, :])
+            second.accumulate_grad(orient(ds).reshape(second.shape))
+        gu = np.empty((g, b, b, d))
+        np.matmul(_t(s), gv, out=gu.transpose(0, 2, 1, 3))
         if T._wants_grad(first):
-            df = np.zeros((b, b, b))
-            np.matmul(gu, _t(z), out=df[:, :, :kb])
-            first.accumulate_grad(orient(df))
+            df = np.zeros((g, b, b, b))
+            np.matmul(gu, _t(z), out=df[..., :kb])
+            first.accumulate_grad(orient(df).reshape(first.shape))
         if T._wants_grad(x):
-            gx = np.empty((kb, b, d))
-            np.matmul(_t(f), gu, out=gx.transpose(1, 0, 2))
-            x.accumulate_grad(orient(gx.reshape(kb * b, d)[:k]))
+            gx = np.empty((g, kb, b, d))
+            np.matmul(_t(f), gu, out=gx.transpose(0, 2, 1, 3))
+            x.accumulate_grad(_unstack(gx.reshape(g, kb * b, d)[:, :k], flip))
 
-    flop_meter.add(monarch_apply_muladds(n, d, k, size))
+    flop_meter.add(g * monarch_apply_muladds(n, d, k, size))
     return T._record(out, bwd, x, first, second)

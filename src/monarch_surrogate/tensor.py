@@ -300,24 +300,7 @@ def activation(a: Tensor, kind: str) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# structure: slicing, reshapes
-
-
-def slice_range(a: Tensor, start: int, stop: int, axis: int) -> Tensor:
-    old = a.shape[axis]
-    if not (0 <= start < stop <= old):
-        raise DimensionError(f"slice_range: [{start}, {stop}) out of bounds for extent {old}")
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(start, stop)
-    out = Tensor(a.data[tuple(sl)])
-
-    def bwd(g):
-        if _wants_grad(a):
-            widths = [(0, 0)] * g.ndim
-            widths[axis] = (start, old - stop)
-            a.accumulate_grad(np.pad(g, widths))
-
-    return _record(out, bwd, a)
+# structure: reshapes and concatenation
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:

@@ -140,16 +140,23 @@ class Adam:
         self.v = [np.zeros_like(p.data) for p in params]
 
     def step(self) -> None:
+        """Update m, v and each parameter in place, in the textbook op order.
+
+        Every array op rounds as in m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g
+        and p -= lr*m_hat / (sqrt(v_hat) + eps), so the step is bit-identical
+        to that out-of-place formula.
+        """
         self.t += 1
-        for i, p in enumerate(self.params):
+        c1, c2 = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
+        for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
             g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1**self.t)
-            v_hat = self.v[i] / (1.0 - self.beta2**self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monarch_surrogate import training
 from monarch_surrogate.blocks import (
     EnhancedLayerParams,
     SurrogateAttentionParams,
@@ -13,6 +14,7 @@ from monarch_surrogate.blocks import (
     surrogate_attention_forward,
     surrogate_ffn_forward,
 )
+from monarch_surrogate.data import build_dataset
 from monarch_surrogate.errors import ConfigurationError, DimensionError
 from monarch_surrogate.structured import pad_to_square
 from monarch_surrogate.tensor import LAYER_NORM_EPS, Tensor
@@ -32,12 +34,27 @@ def test_attention_params_shapes():
     assert p.n_pad == 100
     assert len(p.m_q) == len(p.m_k) == len(p.m_v) == 4
     assert all(w.shape == (9, 32) for w in p.w_out)
+    assert np.array_equal(p.m_v[-1].right.data, p.v_stack.right.data[3])
+    with pytest.raises(IndexError):
+        p.m_k[4]
+    with pytest.raises(TypeError):  # a slice of heads would be a copy, not a view
+        p.w_out[1:3]
 
 
 def test_attention_rejects_indivisible_heads():
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigurationError):
         SurrogateAttentionParams.create(16, 10, heads=3, rng=rng)
+
+
+def test_attention_rejects_mismatched_stacks():
+    rng = np.random.default_rng(0)
+    p = SurrogateAttentionParams.create(16, 8, heads=2, rng=rng)
+    q = SurrogateAttentionParams.create(16, 8, heads=4, rng=rng)
+    with pytest.raises(DimensionError):  # 4 groups for 2 heads
+        SurrogateAttentionParams(2, 8, p.q_stack, q.k_stack, p.v_stack, p.m1, p.m2, p.w_stack)
+    with pytest.raises(DimensionError):
+        SurrogateAttentionParams(2, 8, p.q_stack, p.k_stack, p.v_stack, p.m1, p.m2, q.w_stack)
 
 
 @pytest.mark.parametrize("n,d,heads", [(4, 4, 1), (16, 8, 2), (10, 6, 3)])
@@ -96,10 +113,10 @@ def test_enhanced_layer_rejects_unknown_norm_style():
 
 def test_parameter_lists_cover_all_learnables():
     rng = np.random.default_rng(7)
-    # surrogate layer: 3 QKV Monarchs x 2 heads x 2 factors + M1/M2 x 2 + 2 W_out
+    # surrogate layer: 3 head-stacked QKV Monarchs x 2 factors + M1/M2 x 2 + stacked W_out
     #   + FFN 2 Monarchs x 2 + 4 layer-norm tensors
     # dense layer: 3 x 2 per-head projections + W_out + W1, W2 + 4 layer-norm tensors
-    per_layer = {"surrogate": 12 + 4 + 2 + 4 + 4, "dense": 6 + 1 + 2 + 4}
+    per_layer = {"surrogate": 6 + 4 + 1 + 4 + 4, "dense": 6 + 1 + 2 + 4}
     layers = {
         "surrogate": EnhancedLayerParams.create(6, 4, 2, rng),
         "dense": DenseLayerParams.create(4, 2, 8, rng),
@@ -114,6 +131,53 @@ def test_parameter_lists_cover_all_learnables():
         assert len(params) == 2 * per_layer[variant] + 2
         assert len({id(t) for t in params}) == len(params)
         assert params[0] is model.embed and params[-1] is model.head
+
+
+def test_parameters_hold_each_stack_once_and_views_follow_the_stacks(monkeypatch):
+    rng = np.random.default_rng(8)
+    layer = EnhancedLayerParams.create(6, 6, 3, rng)
+    attn = layer.attn
+    stacks = [attn.q_stack.left, attn.q_stack.right, attn.k_stack.left, attn.k_stack.right,
+              attn.v_stack.left, attn.v_stack.right, attn.m1.left, attn.m1.right,
+              attn.m2.left, attn.m2.right, attn.w_stack]
+    params = layer.parameters()
+    assert [id(t) for t in attn.parameters()] == [id(t) for t in stacks]
+    assert len({id(t) for t in params}) == len(params) == len(stacks) + 4 + 4
+
+    def views_match(attn):
+        views = [(m.left, attn.q_stack.left.data[h]) for h, m in enumerate(attn.m_q)]
+        views += [(m.right, attn.v_stack.right.data[h]) for h, m in enumerate(attn.m_v)]
+        views += [(w, attn.w_stack.data[h * attn.d_head : (h + 1) * attn.d_head])
+                  for h, w in enumerate(attn.w_out)]
+        ids = {id(p) for p in attn.parameters()}
+        return all(id(v) not in ids and not v.data.flags.writeable
+                   and np.shares_memory(v.data, s) and np.array_equal(v.data, s)
+                   for v, s in views)
+
+    assert views_match(attn)
+    for p in params:
+        p.grad = np.ones_like(p.data)
+    before = attn.w_out[1].data.copy()
+    training.Adam(params, lr=0.1).step()
+    assert views_match(attn) and not np.array_equal(attn.w_out[1].data, before)
+    with pytest.raises(ValueError):  # read-only: a write must go through the stack
+        attn.w_out[0].data[0, 0] = 1.0
+
+    # train_forecaster's best-state restore rebinds every parameter's .data
+    created = []
+    real_create = training.ForecasterParams.create
+
+    def create(*args):
+        created.append(real_create(*args))
+        assert views_match(created[-1].layers[0].attn)  # seen before training, too
+        return created[-1]
+
+    monkeypatch.setattr(training.ForecasterParams, "create", create)
+    series = np.sin(np.arange(80) * 2 * np.pi / 8)
+    cfg = training.TrainConfig(d_model=6, heads=3, layers=1, d_ff=16, epochs=2, seed=1)
+    training.train_forecaster(build_dataset(series, 8, 4), cfg)
+    (model,) = created
+    assert views_match(model.layers[0].attn)
 
 
 # random shapes: any sequence length (square or not) and head widths that

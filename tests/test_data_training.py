@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from monarch_surrogate import tensor as T
+from monarch_surrogate.bench import ModelConfig
 from monarch_surrogate.data import (
     SineSpec,
     build_dataset,
@@ -17,7 +19,7 @@ from monarch_surrogate.training import (
     forecaster_forward,
     train_forecaster,
 )
-from monarch_surrogate.tensor import Tensor
+from monarch_surrogate.tensor import Tensor, tape_scope
 
 
 def test_sine_generation_periodicity():
@@ -81,6 +83,52 @@ def test_adam_moves_toward_minimum():
         p.grad = 2.0 * p.data  # d/dp of p^2
         opt.step()
     assert abs(p.data[0]) < 0.1
+
+
+def test_adam_in_place_step_is_bit_identical_to_the_formula():
+    rng = np.random.default_rng(3)
+    params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in [(3,), (4, 5), (2, 3, 3)]]
+    ref = [p.data.copy() for p in params]
+    m = [np.zeros_like(r) for r in ref]
+    v = [np.zeros_like(r) for r in ref]
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+    opt = Adam(params, lr=lr)
+    for t in range(1, 7):
+        for i, p in enumerate(params):
+            p.grad = None if (t, i) == (3, 1) else rng.standard_normal(p.shape)
+        grads = [p.grad for p in params]
+        opt.step()
+        for i, g in enumerate(grads):
+            if g is None:  # a parameter with no gradient is left alone
+                continue
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g
+            m_hat = m[i] / (1.0 - b1**t)
+            v_hat = v[i] / (1.0 - b2**t)
+            ref[i] = ref[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert all(np.array_equal(p.data, r) for p, r in zip(params, ref))
+        assert all(np.array_equal(a, b) for a, b in zip(opt.m + opt.v, m + v))
+
+
+@pytest.mark.parametrize("shape, nodes", [
+    ("sine", {"surrogate": 22, "dense": 33}),
+    ("paper", {"surrogate": 37, "dense": 155}),
+])
+def test_tape_nodes_per_training_step(shape, nodes):
+    # the step train_forecaster takes: forecast, squared error, mean
+    cfg, t = ModelConfig(), TrainConfig()
+    if shape == "sine":
+        cfg = ModelConfig(d_model=t.d_model, heads=t.heads, n_seq=48, layers=t.layers,
+                          d_ff=t.d_ff, l_out=24)
+    rng = np.random.default_rng(0)
+    for variant, expected in nodes.items():
+        params = ForecasterParams.create(variant, cfg.n_seq, cfg.l_out, cfg.d_model, cfg.heads,
+                                         cfg.layers, cfg.d_ff, rng)
+        with tape_scope() as tape:
+            pred = forecaster_forward(Tensor(rng.standard_normal((cfg.n_seq, 1))), params)
+            diff = T.sub(pred, Tensor(rng.standard_normal((1, cfg.l_out))))
+            T.mean_all(T.elementwise_mul(diff, diff))
+        assert len(tape) == expected, variant
 
 
 def _tiny_dataset():

@@ -216,3 +216,59 @@ def test_apply_is_one_node_and_matches_dense(b, d, side, data):
     assert np.abs(y.data - expected).max() <= 1e-13 * scale
     assert np.abs(x.grad - expected_grad).max() <= 1e-13 * scale
     assert probe_rel_errors(loss, [x], 8, rng) < DEFAULT_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    heads=st.integers(1, 4),
+    width=st.integers(1, 7),
+    n=st.integers(1, 40),
+    side=st.sampled_from(["left", "right"]),
+    data=st.data(),
+)
+def test_grouped_apply_is_one_node_and_equals_per_group_applies(heads, width, n, side, data):
+    # x is (n, heads * width); group h acts on column chunk h: across its
+    # width (right, as the Q/K/V projections) or down its n rows (left)
+    n_mon = pad_to_square(width if side == "right" else n)
+    size = data.draw(st.integers(1, n_mon), label="size")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    ms = [monarch_new(n_mon, rng) for _ in range(heads)]
+    grouped = MonarchMatrix(
+        Tensor(np.stack([m.left.data for m in ms]), requires_grad=True),
+        Tensor(np.stack([m.right.data for m in ms]), requires_grad=True),
+    )
+    x = Tensor(rng.standard_normal((n, heads * width)), requires_grad=True)
+    chunks = [Tensor(x.data[:, h * width : (h + 1) * width], requires_grad=True)
+              for h in range(heads)]
+    ys = [monarch_apply(m, c, side, size) for m, c in zip(ms, chunks)]
+    w = rng.standard_normal((ys[0].shape[0], sum(y.shape[1] for y in ys)))
+    with tape_scope() as tape:
+        y = monarch_apply(grouped, x, side, size)
+        assert len(tape) == 1
+        tape.backward(T.sum_all(T.elementwise_mul(y, Tensor(w))))
+    cut = np.cumsum([y.shape[1] for y in ys])[:-1]
+    for m, c, wh in zip(ms, chunks, np.split(w, cut, axis=1)):
+        with tape_scope() as tape:
+            tape.backward(T.sum_all(T.elementwise_mul(monarch_apply(m, c, side, size), Tensor(wh))))
+    assert np.array_equal(y.data, np.concatenate([y.data for y in ys], axis=1))
+    assert np.array_equal(x.grad, np.concatenate([c.grad for c in chunks], axis=1))
+    assert np.array_equal(grouped.left.grad, np.stack([m.left.grad for m in ms]))
+    assert np.array_equal(grouped.right.grad, np.stack([m.right.grad for m in ms]))
+
+
+def test_grouped_apply_meter_and_shape_errors():
+    rng = np.random.default_rng(6)
+    stack = lambda: Tensor(rng.standard_normal((3, 2, 2, 2)))
+    m = MonarchMatrix(stack(), stack())
+    assert (m.groups, m.n, m.param_count) == (3, 4, 48)
+    flop_meter.reset()
+    assert monarch_apply(m, Tensor(np.zeros((5, 9))), "right").shape == (5, 12)
+    assert flop_meter.muladds == 3 * monarch_apply_muladds(4, 5, k=3)
+    with pytest.raises(DimensionError):
+        monarch_apply(m, Tensor(np.zeros((4, 8))), "left")  # 8 columns in 3 chunks
+    with pytest.raises(DimensionError):
+        monarch_apply(m, Tensor(np.zeros((5, 15))), "right")  # chunks wider than n
+    with pytest.raises(DimensionError):
+        monarch_to_dense(m)
+    with pytest.raises(DimensionError):
+        MonarchMatrix(stack(), Tensor(np.zeros((2, 2, 2, 2))))

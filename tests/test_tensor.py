@@ -98,17 +98,6 @@ def test_unknown_activation():
         T.activation(Tensor(np.zeros(2)), "swish")
 
 
-def test_pad_and_slice_grad():
-    rng = np.random.default_rng(7)
-    a = Tensor(rng.standard_normal((6, 6)), requires_grad=True)
-
-    def loss():  # the slice's backward zero-pads the gradient back to a's shape
-        y = T.slice_range(a, 1, 5, 0)
-        return T.sum_all(T.elementwise_mul(y, y))
-
-    _grad_matches(loss, [a])
-
-
 def test_backward_requires_scalar_loss():
     a = Tensor(np.ones((2, 2)), requires_grad=True)
     with tape_scope() as tape:
