@@ -49,10 +49,10 @@ def _load_config(args, sections: tuple[str, ...]) -> dict:
     """The --config file's sections, each of which must be one the command reads."""
     if not args.config:
         return {}
-    with open(args.config) as fh:
+    with open(args.config, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON or not UTF-8
             raise ConfigurationError(f"config file {args.config} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigurationError(f"config file {args.config} must hold a JSON object")
@@ -220,7 +220,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, ContractError, DimensionError, FileNotFoundError) as exc:
+    except (ConfigurationError, ContractError, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,26 +12,6 @@ DEFAULT_STEP = 1e-6
 DEFAULT_TOL = 1e-4
 
 
-def numeric_grad(f: Callable[[], Tensor], param: Tensor, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Central differences of a scalar-valued closure w.r.t. one parameter.
-
-    ``f`` must re-run the computation from current parameter values; it is
-    evaluated 2 * param.size times.
-    """
-    g = np.zeros_like(param.data)
-    flat = param.data.ravel()
-    gflat = g.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        fp = float(f().data)
-        flat[i] = orig - step
-        fm = float(f().data)
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * step)
-    return g
-
-
 def analytic_grad(f: Callable[[], Tensor], params: Sequence[Tensor]) -> list[np.ndarray]:
     """Gradients of the scalar closure for each parameter, via one taped pass."""
     for p in params:
@@ -42,21 +22,34 @@ def analytic_grad(f: Callable[[], Tensor], params: Sequence[Tensor]) -> list[np.
     return [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
 
 
-def rel_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-8) -> float:
-    if a.size == 0:
-        return 0.0
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return float(np.max(np.abs(a - b) / denom))
+def _worst_rel_error(
+    f: Callable[[], Tensor], params: Sequence[Tensor], coords: list[tuple[int, int]], step: float
+) -> float:
+    """Worst relative error of central differences against the analytic gradient.
+
+    ``f`` must re-run the computation from current parameter values; it is
+    evaluated twice per (parameter index, flat coordinate) pair.
+    """
+    analytic = analytic_grad(f, params)
+    worst = 0.0
+    for pi, ci in coords:
+        flat = params[pi].data.ravel()
+        orig = flat[ci]
+        flat[ci] = orig + step
+        fp = float(f().data)
+        flat[ci] = orig - step
+        fm = float(f().data)
+        flat[ci] = orig
+        num = (fp - fm) / (2.0 * step)
+        ana = analytic[pi].ravel()[ci]
+        worst = max(worst, abs(ana - num) / max(abs(ana), abs(num), 1e-8))
+    return float(worst)
 
 
 def max_rel_error(f: Callable[[], Tensor], params: Sequence[Tensor], step: float = DEFAULT_STEP) -> float:
     """Worst element-wise relative error between analytic and numeric grads."""
-    analytic = analytic_grad(f, params)
-    worst = 0.0
-    for p, g in zip(params, analytic):
-        num = numeric_grad(f, p, step)
-        worst = max(worst, rel_error(g, num))
-    return worst
+    coords = [(pi, ci) for pi, p in enumerate(params) for ci in range(p.data.size)]
+    return _worst_rel_error(f, params, coords, step)
 
 
 def probe_rel_errors(
@@ -71,8 +64,7 @@ def probe_rel_errors(
     Every parameter gets at least one probe; the remaining probes are spread
     uniformly over coordinates.  Returns the worst relative error seen.
     """
-    analytic = analytic_grad(f, params)
-    coords = [(pi, int(ci)) for pi, p in enumerate(params) for ci in [rng.integers(p.data.size)]]
+    coords = [(pi, int(rng.integers(p.data.size))) for pi, p in enumerate(params)]
     total = sum(p.data.size for p in params)
     while len(coords) < probes:
         flat_i = int(rng.integers(total))
@@ -81,18 +73,4 @@ def probe_rel_errors(
                 coords.append((pi, flat_i))
                 break
             flat_i -= p.data.size
-    worst = 0.0
-    for pi, ci in coords:
-        p = params[pi]
-        flat = p.data.ravel()
-        orig = flat[ci]
-        flat[ci] = orig + step
-        fp = float(f().data)
-        flat[ci] = orig - step
-        fm = float(f().data)
-        flat[ci] = orig
-        num = (fp - fm) / (2.0 * step)
-        ana = analytic[pi].ravel()[ci]
-        denom = max(abs(ana), abs(num), 1e-8)
-        worst = max(worst, abs(ana - num) / denom)
-    return worst
+    return _worst_rel_error(f, params, coords, step)

@@ -19,47 +19,37 @@ from .tensor import Tensor
 
 @dataclass
 class DenseMHSAParams:
-    heads: int
-    w_qry: list[Tensor]  # per head, (d_in, d_k)
-    w_key: list[Tensor]
-    w_val: list[Tensor]  # per head, (d_in, d_v)
-    w_out: Tensor  # (heads * d_v, d_out)
+    w_qry: Tensor  # (heads, d_in, d_k), d_k = d_in // heads
+    w_key: Tensor
+    w_val: Tensor
+    w_out: Tensor  # (heads * d_k, d_in): head h's output projection in rows h*d_k..
 
     @classmethod
-    def create(
-        cls,
-        d_in: int,
-        d_k: int,
-        d_v: int,
-        d_out: int,
-        heads: int,
-        rng: np.random.Generator,
-    ) -> "DenseMHSAParams":
-        def w(rows, cols):
-            return Tensor(rng.normal(0.0, rows**-0.5, (rows, cols)), requires_grad=True)
+    def create(cls, d_in: int, heads: int, rng: np.random.Generator) -> "DenseMHSAParams":
+        if d_in % heads != 0:
+            raise ConfigurationError(f"d_in={d_in} not divisible by heads={heads}")
+        d_k = d_in // heads
 
-        return cls(
-            heads=heads,
-            w_qry=[w(d_in, d_k) for _ in range(heads)],
-            w_key=[w(d_in, d_k) for _ in range(heads)],
-            w_val=[w(d_in, d_v) for _ in range(heads)],
-            w_out=w(heads * d_v, d_out),
-        )
+        # every weight has d_in rows; one draw of a stack fills the heads in
+        # the order per-head draws would
+        def w(*shape):
+            return Tensor(rng.normal(0.0, d_in**-0.5, shape), requires_grad=True)
+
+        return cls(w(heads, d_in, d_k), w(heads, d_in, d_k), w(heads, d_in, d_k), w(d_in, d_in))
 
     parameters = T.parameters
 
 
 def dense_mhsa_forward(x: Tensor, params: DenseMHSAParams) -> Tensor:
-    """Softmax(Q K^T / sqrt(Dk)) X W_val per head, heads concatenated."""
-    d_k = params.w_qry[0].shape[1]
-    heads = []
-    for h in range(params.heads):
-        q = T.matmul(x, params.w_qry[h])
-        k = T.matmul(x, params.w_key[h])
-        scores = T.scale(T.matmul(q, T.transpose(k)), d_k**-0.5)
-        a = T.softmax_rows(scores)
-        heads.append(T.matmul(a, T.matmul(x, params.w_val[h])))
-    return T.matmul(T.concat_cols(heads), params.w_out)
+    """Softmax(Q K^T / sqrt(Dk)) X W_val for every head at once, heads concatenated."""
+    heads, _, d_k = params.w_qry.shape
+    q = T.matmul(x, params.w_qry)  # (heads, n, d_k)
+    k = T.matmul(x, params.w_key)
+    v = T.matmul(x, params.w_val)
+    scores = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), d_k**-0.5)
+    o = T.matmul(T.softmax_rows(scores), v)
+    cols = T.reshape(T.transpose(o, (1, 0, 2)), (x.shape[0], heads * d_k))
+    return T.matmul(cols, params.w_out)
 
 
 def dense_ffn_forward(x: Tensor, w1: Tensor, w2: Tensor, sigma: str) -> Tensor:

@@ -65,8 +65,11 @@ def write_report(path, report: dict) -> None:
 
 
 def read_report(path) -> dict:
-    with open(path) as fh:
-        report = json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            report = json.load(fh)
+        except ValueError as exc:  # malformed JSON or not UTF-8
+            raise ContractError(f"report {path} is not valid JSON: {exc}")
     validate_report(report)
     return report
 

@@ -9,7 +9,7 @@ runs on fresh tapes are bit-identical.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,8 +43,9 @@ class Tensor:
         if g.shape != self.data.shape:
             raise DimensionError(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g.copy()
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -191,16 +192,24 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record(out, bwd, a)
 
 
+def _sum_to_ndim(g: np.ndarray, ndim: int) -> np.ndarray:
+    """Sum a gradient over the leading axes a matmul operand was broadcast along."""
+    return g.sum(axis=tuple(range(g.ndim - ndim))) if g.ndim > ndim else g
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product, or stacks of them: leading axes match or one side has none."""
+    lead_a, lead_b = a.shape[:-2], b.shape[:-2]
+    if (a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]
+            or (lead_a and lead_b and lead_a != lead_b)):
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
     out = Tensor(a.data @ b.data)
 
     def bwd(g):
         if _wants_grad(a):
-            a.accumulate_grad(g @ b.data.T)
+            a.accumulate_grad(_sum_to_ndim(g @ b.data.swapaxes(-1, -2), a.data.ndim))
         if _wants_grad(b):
-            b.accumulate_grad(a.data.T @ g)
+            b.accumulate_grad(_sum_to_ndim(a.data.swapaxes(-1, -2) @ g, b.data.ndim))
 
     return _record(out, bwd, a, b)
 
@@ -300,7 +309,7 @@ def activation(a: Tensor, kind: str) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# structure: reshapes and concatenation
+# structure: reshapes and axis permutations
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -313,26 +322,13 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _record(out, bwd, a)
 
 
-def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.data.T)
+def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    """Permute the axes; with none given, reverse them as ``.T`` does."""
+    out = Tensor(a.data.transpose(axes))
+    inverse = None if axes is None else np.argsort(axes)
 
     def bwd(g):
         if _wants_grad(a):
-            a.accumulate_grad(g.T)
+            a.accumulate_grad(g.transpose(inverse))
 
     return _record(out, bwd, a)
-
-
-def concat_cols(parts: Iterable[Tensor]) -> Tensor:
-    parts = list(parts)
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
-    widths = [p.shape[1] for p in parts]
-
-    def bwd(g):
-        start = 0
-        for p, w in zip(parts, widths):
-            if _wants_grad(p):
-                p.accumulate_grad(g[:, start : start + w])
-            start += w
-
-    return _record(out, bwd, *parts)

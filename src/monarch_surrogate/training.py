@@ -32,11 +32,8 @@ class DenseLayerParams:
     def create(
         cls, d_model: int, heads: int, d_ff: int, rng: np.random.Generator, sigma: str = "relu"
     ) -> "DenseLayerParams":
-        if d_model % heads != 0:
-            raise ConfigurationError(f"d_model={d_model} not divisible by heads={heads}")
-        d_k = d_model // heads
         return cls(
-            attn=DenseMHSAParams.create(d_model, d_k, d_k, d_model, heads, rng),
+            attn=DenseMHSAParams.create(d_model, heads, rng),
             w1=Tensor(rng.normal(0.0, d_model**-0.5, (d_model, d_ff)), requires_grad=True),
             w2=Tensor(rng.normal(0.0, d_ff**-0.5, (d_model, d_ff)), requires_grad=True),
             sigma=sigma,

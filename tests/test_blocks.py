@@ -115,8 +115,8 @@ def test_parameter_lists_cover_all_learnables():
     rng = np.random.default_rng(7)
     # surrogate layer: 3 head-stacked QKV Monarchs x 2 factors + M1/M2 x 2 + stacked W_out
     #   + FFN 2 Monarchs x 2 + 4 layer-norm tensors
-    # dense layer: 3 x 2 per-head projections + W_out + W1, W2 + 4 layer-norm tensors
-    per_layer = {"surrogate": 6 + 4 + 1 + 4 + 4, "dense": 6 + 1 + 2 + 4}
+    # dense layer: 3 head-stacked projections + W_out + W1, W2 + 4 layer-norm tensors
+    per_layer = {"surrogate": 6 + 4 + 1 + 4 + 4, "dense": 3 + 1 + 2 + 4}
     layers = {
         "surrogate": EnhancedLayerParams.create(6, 4, 2, rng),
         "dense": DenseLayerParams.create(4, 2, 8, rng),

@@ -166,6 +166,30 @@ def test_cli_bad_inputs_exit_2(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command, bad_file",
+    [
+        (["bench", "params", "--config"], "dir"),
+        (["bench", "params", "--config"], "non-utf8"),
+        (["report", "show"], "dir"),
+        (["report", "show"], "non-utf8"),
+        (["report", "show"], "malformed-json"),
+    ],
+    ids=["config-dir", "config-non-utf8", "report-dir", "report-non-utf8", "report-malformed"],
+)
+def test_cli_unreadable_input_file_exits_2_with_one_line(tmp_path, capsys, command, bad_file):
+    path = tmp_path / bad_file
+    if bad_file == "dir":
+        path.mkdir()
+    elif bad_file == "non-utf8":
+        path.write_bytes(b'{"model": "\xff"}')
+    else:
+        path.write_text('{"schema_version": 1,')
+    assert main(command + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "text, command",
     [
         ('{"model": {"d_model": 8', ["bench", "params"]),  # malformed JSON

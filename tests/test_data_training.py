@@ -111,8 +111,8 @@ def test_adam_in_place_step_is_bit_identical_to_the_formula():
 
 
 @pytest.mark.parametrize("shape, nodes", [
-    ("sine", {"surrogate": 22, "dense": 33}),
-    ("paper", {"surrogate": 37, "dense": 155}),
+    ("sine", {"surrogate": 22, "dense": 26}),
+    ("paper", {"surrogate": 37, "dense": 45}),
 ])
 def test_tape_nodes_per_training_step(shape, nodes):
     # the step train_forecaster takes: forecast, squared error, mean

@@ -20,22 +20,46 @@ from monarch_surrogate.tensor import Tensor
 
 def test_dense_mhsa_shapes_and_finiteness():
     rng = np.random.default_rng(0)
-    p = DenseMHSAParams.create(d_in=8, d_k=4, d_v=4, d_out=6, heads=2, rng=rng)
+    p = DenseMHSAParams.create(d_in=8, heads=2, rng=rng)
     y = dense_mhsa_forward(Tensor(rng.standard_normal((5, 8))), p)
-    assert y.shape == (5, 6)
+    assert y.shape == (5, 8)
     assert np.all(np.isfinite(y.data))
+    with pytest.raises(ConfigurationError):
+        DenseMHSAParams.create(d_in=8, heads=3, rng=rng)
 
 
 def test_dense_mhsa_single_head_manual():
     rng = np.random.default_rng(1)
-    p = DenseMHSAParams.create(d_in=4, d_k=3, d_v=4, d_out=4, heads=1, rng=rng)
+    p = DenseMHSAParams.create(d_in=4, heads=1, rng=rng)
     x = rng.standard_normal((6, 4))
-    q = x @ p.w_qry[0].data
-    k = x @ p.w_key[0].data
-    scores = q @ k.T / np.sqrt(3)
+    q = x @ p.w_qry.data[0]
+    k = x @ p.w_key.data[0]
+    scores = q @ k.T / np.sqrt(4)
     a = np.exp(scores - scores.max(axis=1, keepdims=True))
     a /= a.sum(axis=1, keepdims=True)
-    expected = a @ x @ p.w_val[0].data @ p.w_out.data
+    expected = a @ x @ p.w_val.data[0] @ p.w_out.data
+    got = dense_mhsa_forward(Tensor(x), p).data
+    assert np.abs(got - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3, 8])
+def test_dense_mhsa_matches_per_head_formula(heads):
+    d_k, n = 6, 5  # d_k not a perfect square
+    d_in = heads * d_k
+    p = DenseMHSAParams.create(d_in, heads, np.random.default_rng(heads))
+    # the stacks hold the draws a per-head layout would take, head by head
+    rng = np.random.default_rng(heads)
+    per_head = [[rng.normal(0.0, d_in**-0.5, (d_in, d_k)) for _ in range(heads)] for _ in range(3)]
+    for stack, draws in zip((p.w_qry, p.w_key, p.w_val), per_head):
+        assert np.array_equal(stack.data, np.stack(draws))
+    assert np.array_equal(p.w_out.data, rng.normal(0.0, d_in**-0.5, (d_in, d_in)))
+    x = np.random.default_rng(100 + heads).standard_normal((n, d_in))
+    expected = np.zeros((n, d_in))
+    for h, (wq, wk, wv) in enumerate(zip(*per_head)):
+        scores = (x @ wq) @ (x @ wk).T / np.sqrt(d_k)
+        a = np.exp(scores - scores.max(axis=1, keepdims=True))
+        a /= a.sum(axis=1, keepdims=True)
+        expected += a @ x @ wv @ p.w_out.data[h * d_k : (h + 1) * d_k]
     got = dense_mhsa_forward(Tensor(x), p).data
     assert np.abs(got - expected).max() < 1e-12
 

@@ -37,13 +37,33 @@ def test_shape_mismatch_raises():
         T.add(a, b)
     with pytest.raises(DimensionError):
         T.matmul(a, Tensor(np.zeros((2, 2))))
+    with pytest.raises(DimensionError):  # stacks of 2 and 3 matrices
+        T.matmul(Tensor(np.zeros((2, 4, 3))), Tensor(np.zeros((3, 3, 5))))
+    with pytest.raises(DimensionError):
+        T.matmul(Tensor(np.zeros(3)), b)
 
 
-def test_matmul_grad():
+@pytest.mark.parametrize(
+    "shape_a, shape_b",
+    [((3, 5), (5, 2)), ((3, 5), (4, 5, 2)), ((4, 3, 5), (5, 2)), ((4, 3, 5), (4, 5, 2))],
+    ids=["2d", "broadcast-a", "broadcast-b", "batched"],
+)
+def test_matmul_grad(shape_a, shape_b):
     rng = np.random.default_rng(1)
-    a = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-    b = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
-    _grad_matches(lambda: T.sum_all(T.matmul(a, b)), [a, b])
+    a = Tensor(rng.standard_normal(shape_a), requires_grad=True)
+    b = Tensor(rng.standard_normal(shape_b), requires_grad=True)
+    w = Tensor(rng.standard_normal(np.matmul(a.data, b.data).shape))
+    assert np.array_equal(T.matmul(a, b).data, a.data @ b.data)
+    _grad_matches(lambda: T.sum_all(T.elementwise_mul(T.matmul(a, b), w)), [a, b])
+
+
+@pytest.mark.parametrize("axes", [None, (1, 0, 2), (2, 0, 1)])
+def test_transpose_axes_and_grad(axes):
+    rng = np.random.default_rng(10)
+    a = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    assert np.array_equal(T.transpose(a, axes).data, np.transpose(a.data, axes))
+    w = Tensor(rng.standard_normal(np.transpose(a.data, axes).shape))
+    _grad_matches(lambda: T.sum_all(T.elementwise_mul(T.transpose(a, axes), w)), [a])
 
 
 def test_softmax_rows_is_row_stochastic():
