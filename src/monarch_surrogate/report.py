@@ -10,8 +10,8 @@ from .errors import ContractError
 
 SCHEMA_VERSION = 1
 
-# top-level key -> required type (None means any JSON value, key still required)
-_SCHEMA: dict[str, type | None] = {
+# top-level key -> required type
+_SCHEMA: dict[str, type] = {
     "schema_version": int,
     "config": dict,
     "checks": list,
@@ -41,7 +41,8 @@ def validate_report(report: dict) -> None:
     for key, expected in _SCHEMA.items():
         if key not in report:
             raise ContractError(f"report missing required key {key!r}")
-        if expected is not None and not isinstance(report[key], expected):
+        # bool is an int subclass, and True == 1: a bool is never a version
+        if not isinstance(report[key], expected) or isinstance(report[key], bool):
             raise ContractError(
                 f"report key {key!r} must be {expected.__name__}, "
                 f"got {type(report[key]).__name__}"
@@ -52,6 +53,8 @@ def validate_report(report: dict) -> None:
             f"expected {SCHEMA_VERSION}"
         )
     for entry in report["checks"]:
+        if not isinstance(entry, dict):
+            raise ContractError(f"check entry must be an object, got {type(entry).__name__}: {entry}")
         for field in ("name", "max_abs_diff", "threshold", "passed", "seeds_run"):
             if field not in entry:
                 raise ContractError(f"check entry missing field {field!r}: {entry}")

@@ -263,20 +263,16 @@ def monarch_apply(m: MonarchMatrix, x: Tensor, side: str, size: int | None = Non
 
     def bwd(grad):
         gv = _to_grid(_stack(grad, g, flip), b)  # (g, b, mb, d)
-        if T._wants_grad(second):
-            ds = np.zeros((g, b, b, b))
-            np.matmul(gv, _t(u), out=ds[..., :mb, :])
-            second.accumulate_grad(orient(ds).reshape(second.shape))
+        ds = np.zeros((g, b, b, b))
+        np.matmul(gv, _t(u), out=ds[..., :mb, :])
         gu = np.empty((g, b, b, d))
         np.matmul(_t(s), gv, out=gu.transpose(0, 2, 1, 3))
-        if T._wants_grad(first):
-            df = np.zeros((g, b, b, b))
-            np.matmul(gu, _t(z), out=df[..., :kb])
-            first.accumulate_grad(orient(df).reshape(first.shape))
-        if T._wants_grad(x):
-            gx = np.empty((g, kb, b, d))
-            np.matmul(_t(f), gu, out=gx.transpose(0, 2, 1, 3))
-            x.accumulate_grad(_unstack(gx.reshape(g, kb * b, d)[:, :k], flip))
+        df = np.zeros((g, b, b, b))
+        np.matmul(gu, _t(z), out=df[..., :kb])
+        gx = np.empty((g, kb, b, d))
+        np.matmul(_t(f), gu, out=gx.transpose(0, 2, 1, 3))
+        return (_unstack(gx.reshape(g, kb * b, d)[:, :k], flip),
+                orient(df).reshape(first.shape), orient(ds).reshape(second.shape))
 
     flop_meter.add(g * monarch_apply_muladds(n, d, k, size))
     return T._record(out, bwd, x, first, second)

@@ -1,15 +1,17 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Every primitive is a pure function of its inputs.  When a tape is active,
-applications are recorded in execution order and ``backward`` replays them
-once, in reverse, accumulating gradients in the fixed tape order so repeated
-runs on fresh tapes are bit-identical.
+applications are recorded in execution order with their inputs.  A
+primitive's backward maps the output gradient to one gradient per input;
+``backward`` replays the tape once, in reverse, and accumulates them in that
+fixed order, so repeated runs on fresh tapes are bit-identical.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,15 +23,17 @@ GELU_C1 = 0.044715
 
 
 class Tensor:
-    """A dense row-major float64 array, optionally tracked for gradients."""
+    """A dense row-major float64 array, optionally tracked for gradients.
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_node_id")
+    `_node_id` is its index on the tape that recorded it, None if none did.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_node_id")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._backward: Callable[[np.ndarray], None] | None = None
         self._node_id: int | None = None
 
     @property
@@ -40,6 +44,9 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add g to .grad, unless the tensor wants none: no leaf to train, not recorded."""
+        if not self.requires_grad and self._node_id is None:
+            return
         if g.shape != self.data.shape:
             raise DimensionError(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
         if self.grad is None:
@@ -65,17 +72,20 @@ def parameters(obj) -> list[Tensor]:
     return []
 
 
+# maps the output gradient to one gradient per input, in input order
+Backward = Callable[[np.ndarray], Sequence[np.ndarray]]
+
+
 class Tape:
-    """Ordered record of tensors produced by differentiable primitives."""
+    """Ordered record of primitive applications: output, backward, inputs."""
 
     def __init__(self):
-        self._nodes: list[Tensor] = []
+        self._nodes: list[tuple[Tensor, Backward, tuple[Tensor, ...]]] = []
         self._replayed = False
 
-    def record(self, out: Tensor, backward: Callable[[np.ndarray], None]) -> None:
-        out._backward = backward
+    def record(self, out: Tensor, backward: Backward, inputs: tuple[Tensor, ...]) -> None:
         out._node_id = len(self._nodes)
-        self._nodes.append(out)
+        self._nodes.append((out, backward, inputs))
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -90,48 +100,31 @@ class Tape:
             raise ContractError("backward already ran on this tape; record a new one")
         self._replayed = True
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(self._nodes[: loss._node_id + 1]):
-            if node.grad is not None and node._backward is not None:
-                node._backward(node.grad)
-                node.grad = None  # passed on to its inputs; free it
+        for out, backward, inputs in reversed(self._nodes[: loss._node_id + 1]):
+            if out.grad is not None:
+                for t, g in zip(inputs, backward(out.grad)):
+                    t.accumulate_grad(g)
+                out.grad = None  # passed on to its inputs; free it
 
 
 _active_tape: Tape | None = None
 
 
-class tape_scope:
-    """Context manager installing a tape as the active recording target."""
-
-    def __init__(self, tape: Tape | None = None):
-        self.tape = tape if tape is not None else Tape()
-        self._prev: Tape | None = None
-
-    def __enter__(self) -> Tape:
-        global _active_tape
-        self._prev = _active_tape
-        _active_tape = self.tape
-        return self.tape
-
-    def __exit__(self, *exc):
-        global _active_tape
-        _active_tape = self._prev
-        return False
+@contextlib.contextmanager
+def tape_scope() -> Iterator[Tape]:
+    """Install a fresh tape as the active recording target for the block."""
+    global _active_tape
+    prev, _active_tape = _active_tape, Tape()
+    try:
+        yield _active_tape
+    finally:
+        _active_tape = prev
 
 
-def _tracked(*tensors: Tensor) -> bool:
-    if _active_tape is None:
-        return False
-    return any(t.requires_grad or t._backward is not None for t in tensors)
-
-
-def _record(out: Tensor, backward_fn: Callable[[np.ndarray], None], *inputs: Tensor) -> Tensor:
-    if _tracked(*inputs):
-        _active_tape.record(out, backward_fn)
+def _record(out: Tensor, backward: Backward, *inputs: Tensor) -> Tensor:
+    if _active_tape is not None and any(t.requires_grad or t._node_id is not None for t in inputs):
+        _active_tape.record(out, backward, inputs)
     return out
-
-
-def _wants_grad(t: Tensor) -> bool:
-    return t.requires_grad or t._backward is not None
 
 
 # ---------------------------------------------------------------------------
@@ -145,51 +138,21 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
-    out = Tensor(a.data + b.data)
-
-    def bwd(g):
-        if _wants_grad(a):
-            a.accumulate_grad(g)
-        if _wants_grad(b):
-            b.accumulate_grad(g)
-
-    return _record(out, bwd, a, b)
+    return _record(Tensor(a.data + b.data), lambda g: (g, g), a, b)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
-    out = Tensor(a.data - b.data)
-
-    def bwd(g):
-        if _wants_grad(a):
-            a.accumulate_grad(g)
-        if _wants_grad(b):
-            b.accumulate_grad(-g)
-
-    return _record(out, bwd, a, b)
+    return _record(Tensor(a.data - b.data), lambda g: (g, -g), a, b)
 
 
 def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "elementwise_mul")
-    out = Tensor(a.data * b.data)
-
-    def bwd(g):
-        if _wants_grad(a):
-            a.accumulate_grad(g * b.data)
-        if _wants_grad(b):
-            b.accumulate_grad(g * a.data)
-
-    return _record(out, bwd, a, b)
+    return _record(Tensor(a.data * b.data), lambda g: (g * b.data, g * a.data), a, b)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.data * c)
-
-    def bwd(g):
-        if _wants_grad(a):
-            a.accumulate_grad(g * c)
-
-    return _record(out, bwd, a)
+    return _record(Tensor(a.data * c), lambda g: (g * c,), a)
 
 
 def _sum_to_ndim(g: np.ndarray, ndim: int) -> np.ndarray:
@@ -206,22 +169,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def bwd(g):
-        if _wants_grad(a):
-            a.accumulate_grad(_sum_to_ndim(g @ b.data.swapaxes(-1, -2), a.data.ndim))
-        if _wants_grad(b):
-            b.accumulate_grad(_sum_to_ndim(a.data.swapaxes(-1, -2) @ g, b.data.ndim))
+        return (_sum_to_ndim(g @ b.data.swapaxes(-1, -2), a.data.ndim),
+                _sum_to_ndim(a.data.swapaxes(-1, -2) @ g, b.data.ndim))
 
     return _record(out, bwd, a, b)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum())
-
-    def bwd(g):
-        if _wants_grad(a):
-            a.accumulate_grad(np.full_like(a.data, float(g)))
-
-    return _record(out, bwd, a)
+    return _record(Tensor(a.data.sum()), lambda g: (np.full_like(a.data, float(g)),), a)
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -241,9 +196,8 @@ def softmax_rows(a: Tensor) -> Tensor:
     out = Tensor(s)
 
     def bwd(g):
-        if _wants_grad(a):
-            inner = (g * s).sum(axis=-1, keepdims=True)
-            a.accumulate_grad(s * (g - inner))
+        inner = (g * s).sum(axis=-1, keepdims=True)
+        return (s * (g - inner),)
 
     return _record(out, bwd, a)
 
@@ -261,15 +215,11 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     out = Tensor(xhat * gain.data + bias.data)
 
     def bwd(g):
-        if _wants_grad(gain):
-            gain.accumulate_grad((g * xhat).sum(axis=tuple(range(g.ndim - 1))))
-        if _wants_grad(bias):
-            bias.accumulate_grad(g.sum(axis=tuple(range(g.ndim - 1))))
-        if _wants_grad(a):
-            gy = g * gain.data
-            m1 = gy.mean(axis=-1, keepdims=True)
-            m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-            a.accumulate_grad(inv * (gy - m1 - xhat * m2))
+        gy = g * gain.data
+        m1 = gy.mean(axis=-1, keepdims=True)
+        m2 = (gy * xhat).mean(axis=-1, keepdims=True)
+        lead = tuple(range(g.ndim - 1))
+        return inv * (gy - m1 - xhat * m2), (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
     return _record(out, bwd, a, gain, bias)
 
@@ -280,11 +230,7 @@ ACTIVATION_KINDS = ("relu", "gelu", "identity")
 def activation(a: Tensor, kind: str) -> Tensor:
     if kind == "relu":
         out = Tensor(np.maximum(a.data, 0.0))
-
-        def bwd(g):
-            if _wants_grad(a):
-                a.accumulate_grad(g * (a.data > 0.0))
-
+        bwd = lambda g: (g * (a.data > 0.0),)
     elif kind == "gelu":
         x = a.data
         u = GELU_C0 * (x + GELU_C1 * x**3)
@@ -292,17 +238,12 @@ def activation(a: Tensor, kind: str) -> Tensor:
         out = Tensor(0.5 * x * (1.0 + t))
 
         def bwd(g):
-            if _wants_grad(a):
-                du = GELU_C0 * (1.0 + 3.0 * GELU_C1 * x**2)
-                a.accumulate_grad(g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du))
+            du = GELU_C0 * (1.0 + 3.0 * GELU_C1 * x**2)
+            return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du),)
 
     elif kind == "identity":
         out = Tensor(a.data.copy())
-
-        def bwd(g):
-            if _wants_grad(a):
-                a.accumulate_grad(g)
-
+        bwd = lambda g: (g,)
     else:
         raise ConfigurationError(f"unknown activation kind {kind!r}, expected one of {ACTIVATION_KINDS}")
     return _record(out, bwd, a)
@@ -313,22 +254,10 @@ def activation(a: Tensor, kind: str) -> Tensor:
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    out = Tensor(a.data.reshape(shape))
-
-    def bwd(g):
-        if _wants_grad(a):
-            a.accumulate_grad(g.reshape(a.shape))
-
-    return _record(out, bwd, a)
+    return _record(Tensor(a.data.reshape(shape)), lambda g: (g.reshape(a.shape),), a)
 
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     """Permute the axes; with none given, reverse them as ``.T`` does."""
-    out = Tensor(a.data.transpose(axes))
     inverse = None if axes is None else np.argsort(axes)
-
-    def bwd(g):
-        if _wants_grad(a):
-            a.accumulate_grad(g.transpose(inverse))
-
-    return _record(out, bwd, a)
+    return _record(Tensor(a.data.transpose(axes)), lambda g: (g.transpose(inverse),), a)

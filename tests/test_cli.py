@@ -27,6 +27,14 @@ def test_report_schema_roundtrip(tmp_path):
     assert read_report(path) == rep
 
 
+# check entries that are not objects (a string naming every field once passed
+# a substring test) and a bool version (True == 1)
+_MALFORMED = [("checks", [1]), ("checks", [None]),
+              ("checks", ["name max_abs_diff threshold passed seeds_run"]),
+              ("schema_version", True)]
+_MALFORMED_IDS = ["checks-int", "checks-null", "checks-string", "bool-version"]
+
+
 def test_report_validation_errors():
     with pytest.raises(ContractError):
         validate_report([])
@@ -42,6 +50,11 @@ def test_report_validation_errors():
     rep["checks"] = [{"name": "x"}]
     with pytest.raises(ContractError):
         validate_report(rep)
+    for key, value in _MALFORMED:
+        rep = new_report({})
+        rep[key] = value
+        with pytest.raises(ContractError):
+            validate_report(rep)
 
 
 def test_report_flattening():
@@ -153,6 +166,17 @@ def test_report_show_csv_equals_written_csv(tmp_path, capsys):
     assert main(["report", "show", str(tmp_path / "r.json"), "--format", "csv"]) == 0
     with open(tmp_path / "r.csv", newline="") as fh:
         assert capsys.readouterr().out == fh.read()
+
+
+@pytest.mark.parametrize("key, value", _MALFORMED, ids=_MALFORMED_IDS)
+def test_report_show_malformed_report_exits_2_with_one_line(tmp_path, capsys, key, value):
+    rep = new_report({})
+    rep[key] = value
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep))
+    assert main(["report", "show", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_bad_inputs_exit_2(monkeypatch, tmp_path):

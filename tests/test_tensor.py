@@ -11,6 +11,7 @@ from monarch_surrogate.errors import (
     NumericError,
 )
 from monarch_surrogate.gradcheck import max_rel_error
+from monarch_surrogate.structured import MonarchMatrix, monarch_apply, monarch_new
 from monarch_surrogate.tensor import Tensor, tape_scope
 
 
@@ -168,6 +169,9 @@ def test_accumulate_grad_rejects_shape_mismatch():
     with pytest.raises(DimensionError):
         a.accumulate_grad(np.ones(4))
     assert a.grad is None
+    c = Tensor(np.zeros((3, 4)))  # neither trained nor recorded: wants no gradient
+    c.accumulate_grad(np.ones((3, 4)))
+    assert c.grad is None
 
 
 def test_backward_frees_intermediate_grads():
@@ -186,12 +190,36 @@ def test_backward_frees_intermediate_grads():
 
     def keep_grads(tape, loss):  # the same replay without freeing
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(tape._nodes):
-            if node.grad is not None and node._backward is not None:
-                node._backward(node.grad)
+        for out, backward, inputs in reversed(tape._nodes):
+            if out.grad is not None:
+                for t, g in zip(inputs, backward(out.grad)):
+                    t.accumulate_grad(g)
 
     kept_tape, kept = run(keep_grads)
     freed_tape, freed = run(lambda tape, loss: tape.backward(loss))
     assert all(np.array_equal(x, y) for x, y in zip(kept, freed))
-    assert all(node.grad is not None for node in kept_tape._nodes)
-    assert all(node.grad is None for node in freed_tape._nodes)
+    assert all(out.grad is not None for out, _, _ in kept_tape._nodes)
+    assert all(out.grad is None for out, _, _ in freed_tape._nodes)
+
+
+def test_inputs_that_want_no_gradient_end_backward_without_one():
+    # every primitive returns a gradient for each input; the tape drops those
+    # for constants, and every parameter still gets its own
+    rng = np.random.default_rng(11)
+    param = lambda *shape: Tensor(rng.standard_normal(shape), requires_grad=True)
+    const = lambda *shape: Tensor(rng.standard_normal(shape))
+    w, gain, bias = param(3, 4), param(4), param(4)
+    m, grouped = monarch_new(4, rng), MonarchMatrix(param(2, 2, 2, 2), param(2, 2, 2, 2))
+    consts = [const(4, 3)] + [const(4, 4) for _ in range(5)]
+    x, target, normed, left_in, right_in, grouped_in = consts
+    with tape_scope() as tape:
+        outs = [T.sub(T.matmul(x, w), target), T.layer_norm(normed, gain, bias),
+                monarch_apply(m, left_in, "left"), monarch_apply(m, right_in, "right"),
+                monarch_apply(grouped, grouped_in, "left")]
+        loss = T.sum_all(outs[0])
+        for o in outs[1:]:
+            loss = T.add(loss, T.sum_all(o))
+        tape.backward(loss)
+    assert all(c.grad is None for c in consts)
+    params = [w, gain, bias, m.left, m.right, grouped.left, grouped.right]
+    assert all(p.grad is not None and p.grad.shape == p.shape for p in params)
