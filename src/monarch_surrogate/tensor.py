@@ -26,15 +26,18 @@ class Tensor:
     """A dense row-major float64 array, optionally tracked for gradients.
 
     `_node_id` is its index on the tape that recorded it, None if none did.
+    `grad_home`, when set (an optimizer's buffer view), is the preallocated
+    array a first gradient is copied into, so backward allocates none.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_node_id")
+    __slots__ = ("data", "grad", "requires_grad", "_node_id", "grad_home")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._node_id: int | None = None
+        self.grad_home: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -49,10 +52,13 @@ class Tensor:
             return
         if g.shape != self.data.shape:
             raise DimensionError(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
-        if self.grad is None:
-            self.grad = g.copy()
-        else:
+        if self.grad is not None:
             self.grad += g
+        elif self.grad_home is not None:
+            np.copyto(self.grad_home, g)
+            self.grad = self.grad_home
+        else:
+            self.grad = g.copy()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -93,14 +99,15 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         if loss.data.ndim != 0 and loss.data.size != 1:
             raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-        if loss._node_id is None:
-            raise ContractError("loss was not produced through recorded primitives")
+        i = loss._node_id
+        if i is None or i >= len(self._nodes) or self._nodes[i][0] is not loss:
+            raise ContractError("loss was not produced through primitives recorded on this tape")
         if self._replayed:
             # leaf grads already hold the first pass; a replay would add to them
             raise ContractError("backward already ran on this tape; record a new one")
         self._replayed = True
         loss.grad = np.ones_like(loss.data)
-        for out, backward, inputs in reversed(self._nodes[: loss._node_id + 1]):
+        for out, backward, inputs in reversed(self._nodes[: i + 1]):
             if out.grad is not None:
                 for t, g in zip(inputs, backward(out.grad)):
                     t.accumulate_grad(g)

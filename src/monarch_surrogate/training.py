@@ -10,7 +10,7 @@ import numpy as np
 from . import tensor as T
 from .blocks import EnhancedLayerParams, enhanced_layer_forward
 from .data import WindowedDataset
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractError
 from .reference import DenseMHSAParams, dense_ffn_forward, dense_mhsa_forward
 from .tensor import Tensor, tape_scope
 
@@ -123,8 +123,18 @@ def forecaster_forward(x: Tensor, params: ForecasterParams, training: bool = Fal
     return T.matmul(flat, params.head)
 
 
+# A step streams six float64 arrays a chunk at a time (the parameter, gradient, m
+# and v slices and two scratch vectors): at 32 K elements, 6 x 256 KiB fits a 2 MiB L2.
+ADAM_CHUNK = 1 << 15
+
+
 class Adam:
-    """Adam with bias correction; operates in place on parameter tensors."""
+    """Adam with bias correction over one flat float64 buffer of every parameter.
+
+    After `Adam(params)` each `p.data` is a view of `flat`, and each `p.grad`
+    backward fills is a view of `grads`; `m` and `v` share the layout.  Write
+    into these views in place, never rebind them: they are reused every step.
+    """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3,
                  betas=(0.9, 0.999), eps: float = 1e-8):
@@ -133,27 +143,44 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        offsets = np.cumsum([0] + [p.data.size for p in params])
+        self.flat, self.grads, self.m, self.v = self._state = np.zeros((4, offsets[-1]))
+        self._scratch = np.empty((2, min(ADAM_CHUNK, offsets[-1])))
+        self._layout = []  # (parameter, its view of flat, its [lo, hi) in the buffers)
+        for p, lo, hi in zip(params, offsets, offsets[1:]):
+            self.flat[lo:hi] = p.data.ravel()
+            p.data, p.grad_home = self.flat[lo:hi].reshape(p.shape), self.grads[lo:hi].reshape(p.shape)
+            self._layout.append((p, p.data, lo, hi))
 
     def step(self) -> None:
         """Update m, v and each parameter in place, in the textbook op order.
 
         Every array op rounds as in m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g
         and p -= lr*m_hat / (sqrt(v_hat) + eps), so the step is bit-identical
-        to that out-of-place formula.
+        to that out-of-place formula.  A parameter whose .grad is None is left as it was.
         """
         self.t += 1
         c1, c2 = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
-        for p, m, v in zip(self.params, self.m, self.v):
+        skipped = []  # (lo, hi, saved state) of each parameter with no gradient
+        for p, view, lo, hi in self._layout:
+            if p.data is not view:
+                raise ContractError("a parameter's .data was rebound after Adam(); write in place")
             if p.grad is None:
-                continue
-            g = p.grad
+                skipped.append((lo, hi, self._state[:, lo:hi].copy()))
+            elif p.grad is not p.grad_home:  # set by hand
+                p.grad_home[...] = p.grad
+        for s in range(0, self.flat.size, ADAM_CHUNK):
+            p, g, m, v = self._state[:, s : s + ADAM_CHUNK]
+            a, b = self._scratch[:, : p.size]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            v += np.multiply(np.multiply(g, 1.0 - self.beta2, out=a), g, out=a)
+            np.sqrt(np.divide(v, c2, out=a), out=a)
+            a += self.eps
+            p -= np.divide(np.multiply(np.divide(m, c1, out=b), self.lr, out=b), a, out=b)
+        for lo, hi, saved in skipped:
+            self._state[:, lo:hi] = saved
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -205,7 +232,7 @@ def train_forecaster(dataset: WindowedDataset, cfg: TrainConfig) -> TrainResult:
     xs, ys = dataset.train
     best_val = float("inf")
     best_epoch = -1
-    best_state: list[np.ndarray] = []
+    best: np.ndarray | None = None  # every parameter at the best epoch, as one copy of opt.flat
     val_history: list[float] = []
     t0 = time.perf_counter()
     for epoch in range(cfg.epochs):
@@ -229,10 +256,9 @@ def train_forecaster(dataset: WindowedDataset, cfg: TrainConfig) -> TrainResult:
         if val < best_val:
             best_val = val
             best_epoch = epoch
-            best_state = [p.data.copy() for p in opt.params]
-    if best_state:
-        for p, saved in zip(opt.params, best_state):
-            p.data = saved
+            best = opt.flat.copy()
+    if best is not None:
+        opt.flat[...] = best
     test_mse, test_mae = _eval_mse_mae(params, *dataset.test)
     return TrainResult(
         variant=cfg.variant,

@@ -163,7 +163,8 @@ def test_parameters_hold_each_stack_once_and_views_follow_the_stacks(monkeypatch
     with pytest.raises(ValueError):  # read-only: a write must go through the stack
         attn.w_out[0].data[0, 0] = 1.0
 
-    # train_forecaster's best-state restore rebinds every parameter's .data
+    # Adam rebinds every parameter's .data to its view of one flat buffer, and
+    # train_forecaster's best-state restore writes into that buffer
     created = []
     real_create = training.ForecasterParams.create
 

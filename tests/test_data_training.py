@@ -11,8 +11,9 @@ from monarch_surrogate.data import (
     chronological_split,
     make_windows,
 )
-from monarch_surrogate.errors import ConfigurationError
+from monarch_surrogate.errors import ConfigurationError, ContractError
 from monarch_surrogate.training import (
+    ADAM_CHUNK,
     Adam,
     ForecasterParams,
     TrainConfig,
@@ -87,15 +88,19 @@ def test_adam_moves_toward_minimum():
 
 def test_adam_in_place_step_is_bit_identical_to_the_formula():
     rng = np.random.default_rng(3)
-    params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in [(3,), (4, 5), (2, 3, 3)]]
+    # the (3, 11000) tensor straddles the first chunk boundary of the flat buffer
+    shapes = [(3,), (4, 5), (3, 11000), (2, 3, 3)]
+    assert 3 + 20 < ADAM_CHUNK < 3 + 20 + 33000
+    params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
     ref = [p.data.copy() for p in params]
     m = [np.zeros_like(r) for r in ref]
     v = [np.zeros_like(r) for r in ref]
     lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
     opt = Adam(params, lr=lr)
+    no_grad = {(3, 1), (5, 2)}  # one gradient-less parameter between two others
     for t in range(1, 7):
         for i, p in enumerate(params):
-            p.grad = None if (t, i) == (3, 1) else rng.standard_normal(p.shape)
+            p.grad = None if (t, i) in no_grad else rng.standard_normal(p.shape)
         grads = [p.grad for p in params]
         opt.step()
         for i, g in enumerate(grads):
@@ -107,7 +112,47 @@ def test_adam_in_place_step_is_bit_identical_to_the_formula():
             v_hat = v[i] / (1.0 - b2**t)
             ref[i] = ref[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
         assert all(np.array_equal(p.data, r) for p, r in zip(params, ref))
-        assert all(np.array_equal(a, b) for a, b in zip(opt.m + opt.v, m + v))
+        assert np.array_equal(opt.m, np.concatenate([x.ravel() for x in m]))
+        assert np.array_equal(opt.v, np.concatenate([x.ravel() for x in v]))
+
+
+def test_adam_rejects_a_parameter_rebound_after_layout():
+    p, q = (Tensor(np.ones(3), requires_grad=True) for _ in range(2))
+    opt = Adam([p, q], lr=0.1)
+    q.data = q.data.copy()  # detached: a step would no longer reach it
+    p.grad = q.grad = np.ones(3)
+    with pytest.raises(ContractError):
+        opt.step()
+
+
+def test_training_steps_keep_parameters_and_gradients_in_the_flat_buffers():
+    # two train_forecaster-style steps at the sine config, the second after a
+    # perfbench-style `p.grad = None`, against per-tensor textbook Adam
+    t = TrainConfig()
+    lr, b1, b2, eps = t.lr, 0.9, 0.999, 1e-8
+    for variant in ("surrogate", "dense"):
+        rng = np.random.default_rng(5)
+        params = ForecasterParams.create(variant, 48, 24, t.d_model, t.heads, t.layers, t.d_ff, rng)
+        ps = params.parameters()
+        ref = [p.data.copy() for p in ps]
+        m = [np.zeros_like(r) for r in ref]
+        v = [np.zeros_like(r) for r in ref]
+        opt = Adam(ps, lr=lr)
+        for step in range(1, 3):
+            for p in ps:
+                p.grad = None
+            with tape_scope() as tape:
+                pred = forecaster_forward(Tensor(rng.standard_normal((48, 1))), params)
+                diff = T.sub(pred, Tensor(rng.standard_normal((1, 24))))
+                tape.backward(T.mean_all(T.elementwise_mul(diff, diff)))
+            for i, p in enumerate(ps):
+                assert np.shares_memory(p.data, opt.flat) and np.shares_memory(p.grad, opt.grads)
+                m[i] = b1 * m[i] + (1.0 - b1) * p.grad
+                v[i] = b2 * v[i] + (1.0 - b2) * p.grad * p.grad
+                ref[i] = ref[i] - lr * (m[i] / (1.0 - b1**step)) / (
+                    np.sqrt(v[i] / (1.0 - b2**step)) + eps)
+            opt.step()
+            assert all(np.array_equal(p.data, r) for p, r in zip(ps, ref)), variant
 
 
 @pytest.mark.parametrize("shape, nodes", [

@@ -133,6 +133,21 @@ def test_backward_requires_recorded_loss():
             tape.backward(Tensor(np.array(1.0)))
 
 
+def test_backward_rejects_a_loss_recorded_on_another_tape():
+    a = Tensor(np.ones(3), requires_grad=True)
+    with tape_scope():
+        loss1 = T.sum_all(T.add(a, a))
+    with tape_scope() as t2:
+        T.sum_all(T.add(a, a))
+        T.sum_all(T.add(a, a))
+        with pytest.raises(ContractError):
+            t2.backward(loss1)
+    with tape_scope() as t3:
+        with pytest.raises(ContractError):  # index past the end of this tape
+            t3.backward(loss1)
+    assert a.grad is None
+
+
 def test_no_recording_without_tape():
     a = Tensor(np.ones((2, 2)), requires_grad=True)
     y = T.add(a, a)
