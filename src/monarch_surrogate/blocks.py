@@ -14,8 +14,9 @@ at once; and the head sum is one matmul, concat_h(SA_h) @ W with W the
 row-stacked output projections.  The FFN replacement is Y = sigma(X @ M1) @ M2
 on the feature axis.
 
-The params objects hold only what is learned or chosen; every size (head
-width, Monarch sizes) is derived from the factor stacks once, at construction.
+The params objects hold only what is learned or chosen; every size the
+stacks fix (the attention's heads and d_in, the head width, the Monarch
+sizes) is read off them once, at construction.
 """
 
 from __future__ import annotations
@@ -62,19 +63,20 @@ class _HeadViews:
 
 @dataclass
 class SurrogateAttentionParams:
-    heads: int
-    d_in: int
     q_stack: MonarchMatrix  # one group per head, size d_head
     k_stack: MonarchMatrix
     v_stack: MonarchMatrix
     m1: MonarchMatrix  # sequence Monarchs, size n_pad
     m2: MonarchMatrix
     w_stack: Tensor  # (heads * d_head, d_in): head h's output projection in rows h*d_head..
+    heads: int = field(init=False)  # Q's group count
+    d_in: int = field(init=False)  # model width, w_stack's columns
     head_width: int = field(init=False)  # contiguous input chunk per head, d_in // heads
     d_head: int = field(init=False)  # per-head Monarch size, a perfect square
     n_pad: int = field(init=False)  # sequence Monarch size, a perfect square
 
     def __post_init__(self):
+        self.heads, self.d_in = self.q_stack.groups, self.w_stack.shape[-1]
         self.head_width = self.d_in // self.heads
         self.d_head, self.n_pad = self.q_stack.n, self.m1.n
         if self.head_width * self.heads != self.d_in or self.head_width > self.d_head:
@@ -82,12 +84,12 @@ class SurrogateAttentionParams:
                 f"{self.heads} heads of Monarch size {self.d_head} do not fit d_in={self.d_in}"
             )
         stacked = (self.heads * self.d_head, self.d_in)
-        qkv = (self.q_stack, self.k_stack, self.v_stack)
-        if any((m.groups, m.n) != (self.heads, self.d_head) for m in qkv) or (
+        kv = (self.k_stack, self.v_stack)
+        if any((m.groups, m.n) != (self.heads, self.d_head) for m in kv) or (
             self.w_stack.shape != stacked
         ):
             raise DimensionError(
-                f"need Q/K/V stacks of {self.heads} Monarchs of size {self.d_head} "
+                f"need K/V stacks of Q's {self.heads} Monarchs of size {self.d_head} "
                 f"and a {stacked} output stack"
             )
         if self.m2.n != self.n_pad:
@@ -96,14 +98,6 @@ class SurrogateAttentionParams:
     @property
     def m_q(self) -> _HeadViews:
         return _HeadViews(self.heads, lambda h: _group(self.q_stack, h))
-
-    @property
-    def m_k(self) -> _HeadViews:
-        return _HeadViews(self.heads, lambda h: _group(self.k_stack, h))
-
-    @property
-    def m_v(self) -> _HeadViews:
-        return _HeadViews(self.heads, lambda h: _group(self.v_stack, h))
 
     @property
     def w_out(self) -> _HeadViews:
@@ -130,7 +124,7 @@ class SurrogateAttentionParams:
         q_stack, k_stack, v_stack = stack(), stack(), stack()
         # one draw of heads * d_head rows fills the rows the per-head draws would
         w_stack = Tensor(rng.normal(0.0, d_head**-0.5, (heads * d_head, d_in)), requires_grad=True)
-        return cls(heads, d_in, q_stack, k_stack, v_stack, m1, m2, w_stack)
+        return cls(q_stack, k_stack, v_stack, m1, m2, w_stack)
 
     parameters = T.parameters
 

@@ -33,15 +33,14 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-DATA_DEFAULTS = {"samples": 480, "period": 24.0, "amplitude": 1.0,
-                 "noise_std": 0.0, "l_in": 48, "l_out": 24}
 # the keys each --config section may set, with defaults that give their types;
 # seed and variant come from the command line only
 CONFIG_DEFAULTS = {
     "model": dataclasses.asdict(bench.ModelConfig()),
     "train": {k: v for k, v in dataclasses.asdict(TrainConfig()).items()
               if k not in ("seed", "variant")},
-    "data": DATA_DEFAULTS,
+    "data": {**{k: v for k, v in dataclasses.asdict(SineSpec()).items() if k != "seed"},
+             "l_in": 48, "l_out": 24},
 }
 
 
@@ -151,7 +150,7 @@ def cmd_bench(args) -> int:
 def cmd_train(args) -> int:
     seed = _resolve_seed(args)
     overrides = _load_config(args, ("train", "data"))
-    data_cfg = {**DATA_DEFAULTS, **overrides.get("data", {})}
+    data_cfg = {**CONFIG_DEFAULTS["data"], **overrides.get("data", {})}
     l_in, l_out = data_cfg.pop("l_in"), data_cfg.pop("l_out")
     series = SineSpec(seed=seed, **data_cfg).generate()
     dataset = build_dataset(series, l_in, l_out)

@@ -181,20 +181,19 @@ def monarch_to_dense(m: MonarchMatrix) -> np.ndarray:
 
 
 def _to_grid(cols: np.ndarray, b: int) -> np.ndarray:
-    """P on k <= n rows of g column stacks (g, k, d): a fresh (g, b, ceil(k/b), d) stack.
+    """P on k <= n rows of g column stacks (g, k, d): a (g, b, ceil(k/b), d) stack.
 
     out[:, j, i] holds cols[:, i*b + j].  Only the grid rows that can be
-    nonzero are kept, and the unfilled tail of the last one is zero.
+    nonzero are kept, and the unfilled tail of the last one is zero.  The
+    rows are copied once into a fresh buffer and the result is a strided
+    view of it, which np.matmul reads directly.
     """
     g, k, d = cols.shape
-    full, rows = k // b, -(-k // b)
-    z = np.empty((g, b, rows, d))
-    zt = z.transpose(0, 2, 1, 3)
-    zt[:, :full] = cols[:, : full * b].reshape(g, full, b, d)
-    if full < rows:
-        zt[:, full, : k - full * b] = cols[:, full * b :]
-        zt[:, full, k - full * b :] = 0.0
-    return z
+    rows = -(-k // b)
+    z = np.empty((g, rows * b, d))
+    z[:, :k] = cols
+    z[:, k:] = 0.0
+    return z.reshape(g, rows, b, d).transpose(0, 2, 1, 3)
 
 
 def _t(a: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -17,26 +18,23 @@ from .tensor import Tensor, tape_scope
 
 @dataclass
 class DenseLayerParams:
-    """Standard encoder layer: softmax attention + two-layer FFN, post-norm."""
+    """Standard encoder layer: softmax attention + two-layer ReLU FFN, post-norm."""
 
+    sigma: ClassVar[str] = "relu"
     attn: DenseMHSAParams
     w1: Tensor
     w2: Tensor
-    sigma: str
     ln1_gain: Tensor
     ln1_bias: Tensor
     ln2_gain: Tensor
     ln2_bias: Tensor
 
     @classmethod
-    def create(
-        cls, d_model: int, heads: int, d_ff: int, rng: np.random.Generator, sigma: str = "relu"
-    ) -> "DenseLayerParams":
+    def create(cls, d_model: int, heads: int, d_ff: int, rng: np.random.Generator) -> "DenseLayerParams":
         return cls(
             attn=DenseMHSAParams.create(d_model, heads, rng),
             w1=Tensor(rng.normal(0.0, d_model**-0.5, (d_model, d_ff)), requires_grad=True),
             w2=Tensor(rng.normal(0.0, d_ff**-0.5, (d_model, d_ff)), requires_grad=True),
-            sigma=sigma,
             ln1_gain=Tensor(np.ones(d_model), requires_grad=True),
             ln1_bias=Tensor(np.zeros(d_model), requires_grad=True),
             ln2_gain=Tensor(np.ones(d_model), requires_grad=True),
@@ -60,11 +58,9 @@ class ForecasterParams:
 
     embed lifts each scalar step to d_model, the encoder layers mix along
     the window, and the head flattens the whole window to the forecast.
+    The window and forecast lengths and d_model are the tensors' shapes.
     """
 
-    l_in: int
-    l_out: int
-    d_model: int
     embed: Tensor  # (1, d_model)
     layers: list
     head: Tensor  # (l_in * d_model, l_out)
@@ -93,9 +89,6 @@ class ForecasterParams:
         else:
             raise ConfigurationError(f"unknown variant {variant!r}")
         return cls(
-            l_in=l_in,
-            l_out=l_out,
-            d_model=d_model,
             embed=Tensor(rng.normal(0.0, 1.0, (1, d_model)), requires_grad=True),
             layers=layers,
             head=Tensor(
@@ -110,6 +103,7 @@ class ForecasterParams:
 def forecaster_forward(x: Tensor, params: ForecasterParams, training: bool = False) -> Tensor:
     """x has shape (l_in, 1); returns the (1, l_out) forecast.
 
+    A window of another length fails the head's matmul with DimensionError.
     Each layer runs the forward of its params type.  `training` has no
     effect: the forward is the same in training and in evaluation.
     """
@@ -119,7 +113,7 @@ def forecaster_forward(x: Tensor, params: ForecasterParams, training: bool = Fal
             y = enhanced_layer_forward(y, layer)
         else:
             y = dense_layer_forward(y, layer)
-    flat = T.reshape(y, (1, params.l_in * params.d_model))
+    flat = T.reshape(y, (1, y.data.size))
     return T.matmul(flat, params.head)
 
 
@@ -136,12 +130,11 @@ class Adam:
     into these views in place, never rebind them: they are reused every step.
     """
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 betas=(0.9, 0.999), eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         offsets = np.cumsum([0] + [p.data.size for p in params])
         self.flat, self.grads, self.m, self.v = self._state = np.zeros((4, offsets[-1]))

@@ -32,13 +32,16 @@ def test_attention_params_shapes():
     assert p.head_width == 8
     assert p.d_head == 9
     assert p.n_pad == 100
-    assert len(p.m_q) == len(p.m_k) == len(p.m_v) == 4
+    assert len(p.m_q) == len(p.w_out) == 4
     assert all(w.shape == (9, 32) for w in p.w_out)
-    assert np.array_equal(p.m_v[-1].right.data, p.v_stack.right.data[3])
+    assert np.array_equal(p.m_q[-1].right.data, p.q_stack.right.data[3])
     with pytest.raises(IndexError):
-        p.m_k[4]
+        p.m_q[4]
     with pytest.raises(TypeError):  # a slice of heads would be a copy, not a view
         p.w_out[1:3]
+    # built straight from the stacks, the params read heads and d_in off them
+    q = SurrogateAttentionParams(p.q_stack, p.k_stack, p.v_stack, p.m1, p.m2, p.w_stack)
+    assert (q.heads, q.d_in, q.head_width, q.d_head, q.n_pad) == (4, 32, 8, 9, 100)
 
 
 def test_attention_rejects_indivisible_heads():
@@ -51,10 +54,10 @@ def test_attention_rejects_mismatched_stacks():
     rng = np.random.default_rng(0)
     p = SurrogateAttentionParams.create(16, 8, heads=2, rng=rng)
     q = SurrogateAttentionParams.create(16, 8, heads=4, rng=rng)
-    with pytest.raises(DimensionError):  # 4 groups for 2 heads
-        SurrogateAttentionParams(2, 8, p.q_stack, q.k_stack, p.v_stack, p.m1, p.m2, p.w_stack)
+    with pytest.raises(DimensionError):  # 4 groups for Q's 2 heads
+        SurrogateAttentionParams(p.q_stack, q.k_stack, p.v_stack, p.m1, p.m2, p.w_stack)
     with pytest.raises(DimensionError):
-        SurrogateAttentionParams(2, 8, p.q_stack, p.k_stack, p.v_stack, p.m1, p.m2, q.w_stack)
+        SurrogateAttentionParams(p.q_stack, p.k_stack, p.v_stack, p.m1, p.m2, q.w_stack)
 
 
 @pytest.mark.parametrize("n,d,heads", [(4, 4, 1), (16, 8, 2), (10, 6, 3)])
@@ -146,7 +149,7 @@ def test_parameters_hold_each_stack_once_and_views_follow_the_stacks(monkeypatch
 
     def views_match(attn):
         views = [(m.left, attn.q_stack.left.data[h]) for h, m in enumerate(attn.m_q)]
-        views += [(m.right, attn.v_stack.right.data[h]) for h, m in enumerate(attn.m_v)]
+        views += [(m.right, attn.q_stack.right.data[h]) for h, m in enumerate(attn.m_q)]
         views += [(w, attn.w_stack.data[h * attn.d_head : (h + 1) * attn.d_head])
                   for h, w in enumerate(attn.w_out)]
         ids = {id(p) for p in attn.parameters()}

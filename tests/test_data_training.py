@@ -11,7 +11,7 @@ from monarch_surrogate.data import (
     chronological_split,
     make_windows,
 )
-from monarch_surrogate.errors import ConfigurationError, ContractError
+from monarch_surrogate.errors import ConfigurationError, ContractError, DimensionError
 from monarch_surrogate.training import (
     ADAM_CHUNK,
     Adam,
@@ -75,6 +75,15 @@ def test_forecaster_forward_shapes():
         assert y.shape == (1, 3)
     with pytest.raises(ConfigurationError):
         ForecasterParams.create("conv", 8, 3, 4, 2, 1, 8, rng)
+
+
+def test_forecaster_rejects_a_window_one_step_short():
+    rng = np.random.default_rng(0)
+    for variant in ("surrogate", "dense"):
+        p = ForecasterParams.create(variant, 8, 3, d_model=4, heads=2,
+                                    n_layers=1, d_ff=8, rng=rng)
+        with pytest.raises(DimensionError):  # a (1, 7 * 4) flat window meets the (8 * 4, 3) head
+            forecaster_forward(Tensor(rng.standard_normal((7, 1))), p)
 
 
 def test_adam_moves_toward_minimum():
