@@ -170,6 +170,10 @@ class EnhancedLayerParams:
     ln2_gain: Tensor
     ln2_bias: Tensor
 
+    def __post_init__(self):
+        if self.norm_style not in ("post-ln", "pre-ln"):
+            raise ConfigurationError(f"unknown norm style {self.norm_style!r}")
+
     @classmethod
     def create(
         cls,
@@ -181,8 +185,6 @@ class EnhancedLayerParams:
         d_ffn: int | None = None,
         sigma: str = "relu",
     ) -> "EnhancedLayerParams":
-        if norm_style not in ("post-ln", "pre-ln"):
-            raise ConfigurationError(f"unknown norm style {norm_style!r}")
         return cls(
             attn=SurrogateAttentionParams.create(n_seq, d_model, heads, rng),
             ffn=SurrogateFFNParams.create(d_model, rng, d_ffn=d_ffn, sigma=sigma),

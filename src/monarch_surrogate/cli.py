@@ -1,8 +1,10 @@
 """Command-line interface: verify checks, benchmark costs, train on sine data.
 
-Exit codes: 0 success, 1 a check or run failed, 2 usage or configuration
-error.  The seed is taken from --seed, falling back to the MSB_SEED
-environment variable, then to 0.
+Each command takes only the flags it reads: verify --out --format --select
+--quick; bench --out --format --config; train --out --format --config --seed
+--variant --epochs; report show --format.  Only train reads a seed: --seed,
+else the MSB_SEED environment variable, else 0.  Exit codes: 0 success, 1 a
+check or run failed, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def _load_config(args, sections: tuple[str, ...]) -> dict:
             reads = "; ".join(f"{s} (keys {', '.join(sorted(CONFIG_DEFAULTS[s]))})"
                               for s in sections)
             raise ConfigurationError(f"{args.command} does not read config section {section!r}; "
-                                     f"it reads {reads or 'no config section'}")
+                                     f"it reads {reads}")
         defaults = CONFIG_DEFAULTS[section]
         if not isinstance(values, dict):
             raise ConfigurationError(f"config section {section!r} must be a JSON object")
@@ -88,18 +90,10 @@ def _emit(args, rep: dict) -> None:
 
 
 def cmd_verify(args) -> int:
-    seed = _resolve_seed(args)
-    _load_config(args, ())
-    vcfg = verification.VerifyConfig(select=args.select or None)
-    if args.quick:
-        vcfg.seeds_oracle = 10
-        vcfg.seeds_theorem = 10
-        vcfg.seeds_expressiveness = 50
-        vcfg.seeds_lti = 10
-        vcfg.seeds_block_oracle = 5
-        vcfg.gradient_probes = 10
+    vcfg = verification.VerifyConfig(select=args.select or None,
+                                     **(verification.QUICK if args.quick else {}))
     checks = verification.run_all(vcfg)
-    rep = report_mod.new_report({"seed": seed, "quick": args.quick})
+    rep = report_mod.new_report({"quick": args.quick})
     rep["checks"] = [c.to_dict() for c in checks]
     failures = 0
     for c in checks:
@@ -113,10 +107,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    seed = _resolve_seed(args)
     overrides = _load_config(args, ("model",))
     cfg = bench.ModelConfig(**overrides.get("model", {}))
-    rep = report_mod.new_report({"seed": seed, "model": cfg.__dict__})
+    rep = report_mod.new_report({"model": cfg.__dict__})
     status = 0
     if args.what == "params":
         rep["params"] = {
@@ -126,7 +119,7 @@ def cmd_bench(args) -> int:
         }
         print(json.dumps(rep["params"], indent=2))
     elif args.what == "flops":
-        meter = bench.check_ledger_matches_meter(cfg, seed=seed)
+        meter = bench.check_ledger_matches_meter(cfg)
         rep["flops"] = {
             "surrogate": bench.count_muladds(cfg, "surrogate"),
             "dense": bench.count_muladds(cfg, "dense"),
@@ -140,7 +133,7 @@ def cmd_bench(args) -> int:
     else:  # scaling
         rep["scaling"] = {
             "analytic": bench.analytic_scaling(),
-            "wallclock": bench.measure_wallclock(seed=seed),
+            "wallclock": bench.measure_wallclock(),
         }
         print(json.dumps(rep["scaling"], indent=2))
     _emit(args, rep)
@@ -183,33 +176,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="msb", description="Monarch surrogate blocks: verify, benchmark, train."
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (overrides MSB_SEED)")
-    common.add_argument("--out", default=None, help="write a run report to this path")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--config", default=None, help="JSON file with overrides")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="write a run report to this path")
+    output.add_argument("--format", choices=("json", "csv"), default="json")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None, help="JSON file with overrides")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="run all correctness checks")
+    p = sub.add_parser("verify", parents=[output], help="run all correctness checks")
     p.add_argument("--select", nargs="*", default=None,
                    help="only run checks whose name contains one of these substrings")
     p.add_argument("--quick", action="store_true", help="reduced seed counts")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", parents=[common], help="cost accounting and scaling")
+    p = sub.add_parser("bench", parents=[output, config], help="cost accounting and scaling")
     p.add_argument("what", choices=("params", "flops", "scaling"))
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("train", parents=[common], help="train a forecaster")
+    p = sub.add_parser("train", parents=[output, config], help="train a forecaster")
     p.add_argument("task", choices=("sine",))
+    p.add_argument("--seed", type=int, default=None, help="RNG seed (overrides MSB_SEED)")
     p.add_argument("--variant", choices=("surrogate", "dense"), default="surrogate")
     p.add_argument("--epochs", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("report", parents=[common], help="inspect a saved run report")
+    p = sub.add_parser("report", help="inspect a saved run report")
     p.add_argument("action", choices=("show",))
     p.add_argument("path")
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="print the report as JSON or as the flat CSV --out writes")
     p.set_defaults(func=cmd_report)
     return parser
 

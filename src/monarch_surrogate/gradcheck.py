@@ -42,7 +42,7 @@ def _worst_rel_error(
         flat[ci] = orig
         num = (fp - fm) / (2.0 * step)
         ana = analytic[pi].ravel()[ci]
-        worst = max(worst, abs(ana - num) / max(abs(ana), abs(num), 1e-8))
+        worst = np.maximum(worst, abs(ana - num) / max(abs(ana), abs(num), 1e-8))
     return float(worst)
 
 

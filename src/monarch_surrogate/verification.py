@@ -2,7 +2,8 @@
 
 Each check evaluates both sides of an identity through independent code
 paths (factored vs dense oracle, attention vs convolution, direct vs
-state-space) and records the worst absolute difference over seeded trials.
+state-space) and records the worst absolute difference over seeded trials,
+NaN if any trial gave NaN, which fails the check.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ THRESH_BLOCK_ORACLE = 1e-9
 THRESH_EXACT = 1e-12
 THRESH_GRAD = 1e-4
 
+# the reduced seed counts of `msb verify --quick`
+QUICK = dict(seeds_oracle=10, seeds_theorem=10, seeds_expressiveness=50,
+             seeds_lti=10, seeds_block_oracle=5, gradient_probes=10)
+
 
 @dataclass
 class CheckResult:
@@ -81,7 +86,7 @@ def check_monarch_oracle(sizes=(4, 16, 64, 256), seeds: int = 100, d: int = 3) -
             m = monarch_new(n, rng=rng)
             x = Tensor(rng.standard_normal((n, d)))
             fast = monarch_apply(m, x, "left").data
-            worst = max(worst, float(np.abs(fast - monarch_to_dense(m) @ x.data).max()))
+            worst = np.maximum(worst, float(np.abs(fast - monarch_to_dense(m) @ x.data).max()))
     return CheckResult("monarch_oracle", worst, THRESH_ORACLE, seeds)
 
 
@@ -117,7 +122,7 @@ def check_theorem_diagonal(
             for p, wh in zip(patterns, w)
         ]
         conv = sum_of_convs_forward(x, kernels)
-        worst = max(worst, float(np.abs(attn - conv).max()))
+        worst = np.maximum(worst, float(np.abs(attn - conv).max()))
     return CheckResult(f"theorem_diagonal_n{n}_lam{lam}_h{heads}", worst, THRESH_THEOREM, seeds)
 
 
@@ -136,8 +141,8 @@ def check_theorem_vertical(
         x = rng.standard_normal((n, d_in))
         attn = patterned_mhsa_forward(x, [pattern_matrix(p) for p in patterns], w)
         tap = sum(fixed_tap_aggregation(x, p, [wh]) for p, wh in zip(patterns, w))
-        worst = max(worst, float(np.abs(attn - tap).max()))
-        worst_rows = max(worst_rows, float(np.abs(attn - attn[0]).max()))
+        worst = np.maximum(worst, float(np.abs(attn - tap).max()))
+        worst_rows = np.maximum(worst_rows, float(np.abs(attn - attn[0]).max()))
     tag = f"n{n}_lam{lam}_h{heads}"
     return (
         CheckResult(f"theorem_vertical_{tag}", worst, THRESH_THEOREM, seeds),
@@ -204,7 +209,7 @@ def check_expressiveness(c: ExpressivenessConstruction, seeds: int = 1000) -> Ch
         x = Tensor(rng.uniform(-2.0, 2.0, (c.n, 1)))
         y = surrogate_mix(x, x, x, m1, m2).data[:, 0]
         expected = x.data[c.k, 0] * x.data[c.source_index, 0] ** 2
-        worst = max(worst, abs(y[c.k] - expected))
+        worst = np.maximum(worst, abs(y[c.k] - expected))
     return CheckResult(f"expressiveness_{c.mode}_n{c.n}_k{c.k}", worst, THRESH_EXACT, seeds)
 
 
@@ -236,7 +241,7 @@ def check_lti_decomposition(n: int = 16, d_head: int = 4, seeds: int = 100) -> C
         ltipath = np.empty_like(v)
         for t in range(n):
             ltipath[t] = (m2[t] @ readout) * states[t]
-        worst = max(worst, float(np.abs(direct - ltipath).max()))
+        worst = np.maximum(worst, float(np.abs(direct - ltipath).max()))
         # A = 0 memorylessness: shuffling past inputs cannot move the state
         shuffled = v.copy()
         shuffled[: n - 1] = shuffled[: n - 1][::-1]
@@ -295,7 +300,7 @@ def check_sab_oracle(sizes=((4, 4), (16, 8), (64, 16)), heads: int = 2, seeds: i
             params = SurrogateAttentionParams.create(n, d, heads=heads, rng=rng)
             x = rng.standard_normal((n, d))
             fast = surrogate_attention_forward(Tensor(x), params).data
-            worst = max(worst, float(np.abs(fast - _dense_sab_oracle(x, params)).max()))
+            worst = np.maximum(worst, float(np.abs(fast - _dense_sab_oracle(x, params)).max()))
     return CheckResult("sab_oracle", worst, THRESH_BLOCK_ORACLE, seeds)
 
 
@@ -307,7 +312,7 @@ def check_sfb_oracle(sizes=((4, 4), (16, 8), (64, 16)), seeds: int = 50) -> Chec
             params = SurrogateFFNParams.create(d, rng)
             x = rng.standard_normal((n, d))
             fast = surrogate_ffn_forward(Tensor(x), params).data
-            worst = max(worst, float(np.abs(fast - _dense_sfb_oracle(x, params)).max()))
+            worst = np.maximum(worst, float(np.abs(fast - _dense_sfb_oracle(x, params)).max()))
     return CheckResult("sfb_oracle", worst, THRESH_BLOCK_ORACLE, seeds)
 
 

@@ -54,7 +54,7 @@ def test_criterion_03_diagonal_attention_equals_sum_of_convolutions():
         for heads in (1, 2, 4):
             for lam in (1, 3, 5):
                 res = V.check_theorem_diagonal(n, lam, heads, seeds=100)
-                worst = max(worst, res.max_abs_diff)
+                worst = np.maximum(worst, res.max_abs_diff)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 60.0
     _verdict(3, "diagonal theorem", ok,
@@ -68,8 +68,8 @@ def test_criterion_04_vertical_attention_equals_fixed_tap_form():
         for heads in (1, 2, 4):
             for lam in (1, 2, 4):
                 eq, rows = V.check_theorem_vertical(n, lam, heads, seeds=100)
-                worst_eq = max(worst_eq, eq.max_abs_diff)
-                worst_rows = max(worst_rows, rows.max_abs_diff)
+                worst_eq = np.maximum(worst_eq, eq.max_abs_diff)
+                worst_rows = np.maximum(worst_rows, rows.max_abs_diff)
     ok = worst_eq <= 1e-8 and worst_rows <= 1e-12
     _verdict(4, "vertical theorem", ok,
              f"eq={worst_eq:.2e} <= 1e-8, rows={worst_rows:.2e} <= 1e-12")

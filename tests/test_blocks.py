@@ -1,5 +1,7 @@
 """Unit tests for the surrogate attention/FFN blocks and the enhanced layer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,15 @@ def test_enhanced_layer_rejects_unknown_norm_style():
     rng = np.random.default_rng(5)
     with pytest.raises(ConfigurationError):
         EnhancedLayerParams.create(6, 4, 2, rng, norm_style="sandwich")
+
+
+def test_enhanced_layer_checks_norm_style_however_built():
+    # "post_ln" is not "post-ln"; left unchecked it would run the pre-LN branch
+    p = EnhancedLayerParams.create(6, 4, 2, np.random.default_rng(5))
+    with pytest.raises(ConfigurationError, match="post_ln"):
+        dataclasses.replace(p, norm_style="post_ln")
+    with pytest.raises(ConfigurationError, match="post_ln"):
+        EnhancedLayerParams(**{**vars(p), "norm_style": "post_ln"})
 
 
 def test_parameter_lists_cover_all_learnables():

@@ -1,10 +1,11 @@
 """Unit tests for the command-line interface and run reports."""
 
+import argparse
 import json
 
 import pytest
 
-from monarch_surrogate.cli import main
+from monarch_surrogate.cli import build_parser, main
 from monarch_surrogate.errors import ContractError
 from monarch_surrogate.report import (
     new_report,
@@ -121,12 +122,10 @@ def test_cli_train_rejects_model_section(tmp_path, capsys):
 @pytest.mark.parametrize(
     "sections, command, reads",
     [
-        ({"model": {"d_model": 8, "heads": 4}, "train": {"epochs": 3}},
-         ["verify", "--quick", "--select", "parameter_law"], ["no config section"]),
         ({"train": {"epochs": 3}}, ["bench", "params"], ["model"]),
         ({"data": {"samples": 80}}, ["bench", "params"], ["model"]),
     ],
-    ids=["verify-model-train", "bench-train", "bench-data"],
+    ids=["bench-train", "bench-data"],
 )
 def test_cli_rejects_sections_the_command_does_not_read(tmp_path, capsys, sections, command,
                                                         reads):
@@ -140,22 +139,61 @@ def test_cli_rejects_sections_the_command_does_not_read(tmp_path, capsys, sectio
 
 
 def test_cli_seed_precedence(monkeypatch, tmp_path):
-    out = tmp_path / "r.json"
+    out, cfg = tmp_path / "r.json", tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": {"samples": 80, "period": 8.0, "l_in": 8, "l_out": 4},
+                               "train": {"d_model": 4, "heads": 1, "layers": 1, "d_ff": 4}}))
+    train = ["train", "sine", "--epochs", "1", "--config", str(cfg), "--out", str(out)]
     monkeypatch.setenv("MSB_SEED", "5")
-    main(["verify", "--quick", "--select", "parameter_law", "--out", str(out)])
+    assert main(train) == 0
     assert read_report(out)["config"]["seed"] == 5
-    main(["verify", "--quick", "--select", "parameter_law",
-          "--seed", "9", "--out", str(out)])
+    assert main(train + ["--seed", "9"]) == 0
     assert read_report(out)["config"]["seed"] == 9
 
 
-@pytest.mark.parametrize("command", [["train", "sine", "--epochs", "1"], ["bench", "flops"]])
+@pytest.mark.parametrize("command", [["train", "sine", "--epochs", "1"]])
 def test_cli_negative_seed_exits_2_with_one_line(monkeypatch, capsys, command):
     assert main(command + ["--seed", "-1"]) == 2
     monkeypatch.setenv("MSB_SEED", "-4")
     assert main(command) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 2 and all(line.startswith("error: seed") for line in lines)
+
+
+FLAGS = {
+    "verify": {"--out", "--format", "--select", "--quick"},
+    "bench": {"--out", "--format", "--config"},
+    "train": {"--out", "--format", "--config", "--seed", "--variant", "--epochs"},
+    "report": {"--format"},
+}
+
+
+def test_each_command_declares_only_the_flags_it_reads():
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                for name, p in sub.choices.items()}
+    assert declared == FLAGS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--seed", "0"],
+        ["verify", "--config", "cfg.json"],
+        ["bench", "flops", "--seed", "0"],
+        ["report", "show", "r.json", "--seed", "5"],
+        ["report", "show", "r.json", "--config", "cfg.json"],
+        ["report", "show", "r.json", "--out", "x"],
+    ],
+    ids=["verify-seed", "verify-config", "bench-seed", "report-seed", "report-config",
+         "report-out"],
+)
+def test_cli_flag_a_command_does_not_read_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"msb: error: unrecognized arguments: {' '.join(argv[-2:])}"
+    assert "Traceback" not in err
 
 
 def test_report_show_csv_equals_written_csv(tmp_path, capsys):
@@ -186,7 +224,7 @@ def test_cli_bad_inputs_exit_2(monkeypatch, tmp_path):
     assert main(["bench", "params", "--config", str(bad_cfg)]) == 2
     assert main(["verify", "--quick", "--select", "no_such_check"]) == 2
     monkeypatch.setenv("MSB_SEED", "not-a-number")
-    assert main(["verify", "--quick", "--select", "parameter_law"]) == 2
+    assert main(["train", "sine", "--epochs", "1"]) == 2
 
 
 @pytest.mark.parametrize(

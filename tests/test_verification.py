@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from monarch_surrogate import gradcheck as G
 from monarch_surrogate import verification as V
 from monarch_surrogate.errors import ConfigurationError
+from monarch_surrogate.tensor import Tensor
 
 
 def test_check_result_pass_fail():
@@ -103,10 +105,37 @@ def test_run_all_select_filters():
 
 
 def test_every_reported_check_can_be_selected_by_name():
-    # the seed counts of `msb verify --quick`
-    quick = dict(seeds_oracle=10, seeds_theorem=10, seeds_expressiveness=50,
-                 seeds_lti=10, seeds_block_oracle=5, gradient_probes=10)
-    names = [c.name for c in V.run_all(V.VerifyConfig(**quick))]
+    names = [c.name for c in V.run_all(V.VerifyConfig(**V.QUICK))]
     assert len(names) == 95
     for name in names:
-        assert name in {c.name for c in V.run_all(V.VerifyConfig(**quick, select=[name]))}
+        assert name in {c.name for c in V.run_all(V.VerifyConfig(**V.QUICK, select=[name]))}
+
+
+def _nan_output(f):
+    return lambda *args: Tensor(f(*args).data * np.nan)
+
+
+def _nan_grads(f):
+    return lambda *args: [g * np.nan for g in f(*args)]
+
+
+# a fold with max() would drop NaN: max(0.0, nan) is 0.0, and the check would pass
+@pytest.mark.parametrize(
+    "module, name, poison, check",
+    [
+        (V, "monarch_apply", _nan_output, lambda: V.check_monarch_oracle(sizes=(4,), seeds=2)),
+        (V, "surrogate_attention_forward", _nan_output,
+         lambda: V.check_sab_oracle(sizes=((4, 4),), seeds=2)),
+        (V, "surrogate_ffn_forward", _nan_output,
+         lambda: V.check_sfb_oracle(sizes=((4, 4),), seeds=2)),
+        (V, "surrogate_mix", _nan_output,
+         lambda: V.check_expressiveness(V.build_expressiveness(4, "short_term", 1), seeds=2)),
+        (V, "surrogate_mix", _nan_output, lambda: V.check_lti_decomposition(seeds=2)),
+        (G, "analytic_grad", _nan_grads, lambda: V.check_layer_gradients(probes=4)),
+    ],
+    ids=["monarch_oracle", "sab_oracle", "sfb_oracle", "expressiveness", "lti", "gradcheck"],
+)
+def test_a_nan_trial_fails_its_check(monkeypatch, module, name, poison, check):
+    monkeypatch.setattr(module, name, poison(getattr(module, name)))
+    res = check()
+    assert np.isnan(res.max_abs_diff) and not res.passed
