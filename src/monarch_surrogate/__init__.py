@@ -14,7 +14,7 @@ from .blocks import (
     surrogate_attention_forward,
     surrogate_ffn_forward,
 )
-from .errors import ConfigurationError, ContractError, DimensionError, NumericError
+from .errors import ConfigurationError, ContractError, DimensionError
 from .structured import (
     MonarchMatrix,
     flop_meter,
@@ -36,7 +36,6 @@ __all__ = [
     "EnhancedLayerParams",
     "ModelConfig",
     "MonarchMatrix",
-    "NumericError",
     "SurrogateAttentionParams",
     "SurrogateFFNParams",
     "Tape",

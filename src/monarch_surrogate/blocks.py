@@ -21,9 +21,7 @@ sizes) is read off them once, at construction.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -42,23 +40,6 @@ def _view(t: Tensor, index) -> Tensor:
 
 def _group(m: MonarchMatrix, h: int) -> MonarchMatrix:
     return MonarchMatrix(_view(m.left, h), _view(m.right, h))
-
-
-class _HeadViews:
-    """Read-only per-head views of one stack, each built when indexed.
-
-    Nothing is stored, so a view follows its stack through in-place updates
-    and through rebinding of the stack's `.data`.
-    """
-
-    def __init__(self, heads: int, view: Callable[[int], object]):
-        self._heads, self._view = range(heads), view
-
-    def __len__(self) -> int:
-        return len(self._heads)
-
-    def __getitem__(self, h: int):
-        return self._view(self._heads[operator.index(h)])  # one head: no slices
 
 
 @dataclass
@@ -96,14 +77,15 @@ class SurrogateAttentionParams:
             raise DimensionError(f"sequence Monarchs have sizes {self.n_pad} and {self.m2.n}")
 
     @property
-    def m_q(self) -> _HeadViews:
-        return _HeadViews(self.heads, lambda h: _group(self.q_stack, h))
+    def m_q(self) -> tuple[MonarchMatrix, ...]:
+        """Read-only per-head views of q_stack, built per access to follow a rebound `.data`."""
+        return tuple(_group(self.q_stack, h) for h in range(self.heads))
 
     @property
-    def w_out(self) -> _HeadViews:
-        """Head h's (d_head, d_in) output projection: rows h*d_head.. of w_stack."""
+    def w_out(self) -> tuple[Tensor, ...]:
+        """Read-only views of each head's (d_head, d_in) output projection: rows h*d_head.."""
         dh = self.d_head
-        return _HeadViews(self.heads, lambda h: _view(self.w_stack, slice(h * dh, (h + 1) * dh)))
+        return tuple(_view(self.w_stack, slice(h * dh, (h + 1) * dh)) for h in range(self.heads))
 
     @classmethod
     def create(

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+No exception marks a NaN: a diverging run ends `failed` at its training loss check.
+"""
 
 
 class DimensionError(ValueError):
@@ -7,10 +10,6 @@ class DimensionError(ValueError):
 
 class ConfigurationError(ValueError):
     """A configuration value is outside the supported set."""
-
-
-class NumericError(ArithmeticError):
-    """Input values are numerically unusable (NaN, non-positive, ...)."""
 
 
 class ContractError(RuntimeError):

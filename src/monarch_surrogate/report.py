@@ -1,10 +1,15 @@
-"""Run-report assembly, validation, and serialization (JSON or flat CSV)."""
+"""Run-report assembly, validation, and serialization (JSON or flat CSV).
+
+Reports are strict JSON: a NaN or infinite value is written as null (an empty
+CSV cell), and a file holding a bare NaN or Infinity token is a ContractError.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
 import json
+import math
 
 from .errors import ContractError
 
@@ -60,17 +65,30 @@ def validate_report(report: dict) -> None:
                 raise ContractError(f"check entry missing field {field!r}: {entry}")
 
 
+def _finite(value):
+    """value with every NaN or infinite float, at any depth, replaced by None."""
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"bare {token} is not JSON")
+
+
 def write_report(path, report: dict) -> None:
     validate_report(report)
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(_finite(report), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def read_report(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
-            report = json.load(fh)
+            report = json.load(fh, parse_constant=_reject_constant)
         except ValueError as exc:  # malformed JSON or not UTF-8
             raise ContractError(f"report {path} is not valid JSON: {exc}")
     validate_report(report)
@@ -89,9 +107,9 @@ def _flatten(prefix: str, value, rows: list) -> None:
 
 
 def report_to_rows(report: dict) -> list[tuple[str, object]]:
-    """Dotted-key flattening of the full report, for CSV output."""
+    """Dotted-key flattening of the full report, for CSV output; non-finite floats become None."""
     rows: list[tuple[str, object]] = []
-    _flatten("", report, rows)
+    _flatten("", _finite(report), rows)
     return rows
 
 

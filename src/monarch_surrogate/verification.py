@@ -269,13 +269,14 @@ def _dense_sab_oracle(x: np.ndarray, params: SurrogateAttentionParams) -> np.nda
     m1 = monarch_to_dense(params.m1)
     m2 = monarch_to_dense(params.m2)
     out = np.zeros((n, params.d_in))
+    w_out = params.w_out
     for h in range(params.heads):
         chunk = x[:, h * w : (h + 1) * w]
         chunk = np.pad(chunk, ((0, 0), (0, d_head - w)))
         q, k, v = (np.pad(chunk @ monarch_to_dense(_group(m, h)), ((0, n_pad - n), (0, 0)))
                    for m in (params.q_stack, params.k_stack, params.v_stack))
         sa = (m2 @ ((m1 @ q) * k)) * v
-        out += sa[:n] @ params.w_out[h].data
+        out += sa[:n] @ w_out[h].data
     return out
 
 

@@ -39,8 +39,12 @@ def test_attention_params_shapes():
     assert np.array_equal(p.m_q[-1].right.data, p.q_stack.right.data[3])
     with pytest.raises(IndexError):
         p.m_q[4]
-    with pytest.raises(TypeError):  # a slice of heads would be a copy, not a view
-        p.w_out[1:3]
+    heads = p.w_out[1:3]  # a slice of the views: still views of heads 1 and 2
+    assert len(heads) == 2
+    for h, w in zip((1, 2), heads):
+        rows = p.w_stack.data[h * 9 : (h + 1) * 9]
+        assert not w.data.flags.writeable and np.shares_memory(w.data, p.w_stack.data)
+        assert np.array_equal(w.data, rows)
     # built straight from the stacks, the params read heads and d_in off them
     q = SurrogateAttentionParams(p.q_stack, p.k_stack, p.v_stack, p.m1, p.m2, p.w_stack)
     assert (q.heads, q.d_in, q.head_width, q.d_head, q.n_pad) == (4, 32, 8, 9, 100)

@@ -3,8 +3,10 @@
 import argparse
 import json
 
+import numpy as np
 import pytest
 
+from monarch_surrogate import verification
 from monarch_surrogate.cli import build_parser, main
 from monarch_surrogate.errors import ContractError
 from monarch_surrogate.report import (
@@ -15,6 +17,7 @@ from monarch_surrogate.report import (
     write_report,
     write_report_csv,
 )
+from monarch_surrogate.tensor import Tensor
 
 
 def test_report_schema_roundtrip(tmp_path):
@@ -61,6 +64,8 @@ def test_report_validation_errors():
 def test_report_flattening():
     rows = dict(report_to_rows({"a": {"b": 1}, "c": [2, 3]}))
     assert rows == {"a.b": 1, "c[0]": 2, "c[1]": 3}
+    rows = dict(report_to_rows({"a": {"b": float("nan")}, "c": [float("-inf"), 2.5]}))
+    assert rows == {"a.b": None, "c[0]": None, "c[1]": 2.5}  # as report show reads them back
 
 
 def test_report_csv_output(tmp_path):
@@ -108,6 +113,49 @@ def test_cli_train_and_report_show(tmp_path, capsys):
     assert main(["report", "show", str(out)]) == 0
     assert '"schema_version": 1' in capsys.readouterr().out
     assert main(["report", "show", str(out), "--format", "csv"]) == 0
+
+
+# an 80-sample sine series and a step size that blows the first update up
+DIVERGING = {"data": {"samples": 80, "period": 8.0, "l_in": 8, "l_out": 4},
+             "train": {"d_model": 4, "heads": 2, "layers": 1, "d_ff": 8, "lr": 1e300}}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to NaN
+@pytest.mark.parametrize("variant", ["surrogate", "dense"])
+def test_cli_diverging_train_exits_1_with_one_line(tmp_path, capsys, variant):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+    cfg.write_text(json.dumps(DIVERGING))
+    assert main(["train", "sine", "--variant", variant, "--epochs", "1",
+                 "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1 and "Traceback" not in captured.err
+    training = read_report(out)["training"]
+    assert training["failed"] is True and training["test_mse"] is None
+
+
+def _strict_json(token):
+    raise AssertionError(f"bare {token} in a report")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "--quick", "--select", "monarch_oracle"], 1),  # its oracle sees NaN
+        (["bench", "params"], 0),
+        (["bench", "flops"], 0),
+        (["train", "sine", "--variant", "dense", "--epochs", "1", "--config", "cfg.json"], 1),
+    ],
+    ids=["verify-nan-check", "bench-params", "bench-flops", "train-diverged"],
+)
+def test_every_report_msb_writes_is_strict_json(monkeypatch, tmp_path, argv, code):
+    real = verification.monarch_apply  # only the verify checks call it through this name
+    monkeypatch.setattr(verification, "monarch_apply",
+                        lambda *args: Tensor(real(*args).data * np.nan))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(DIVERGING))
+    assert main(argv + ["--out", "r.json"]) == code
+    json.loads((tmp_path / "r.json").read_text(), parse_constant=_strict_json)
 
 
 def test_cli_train_rejects_model_section(tmp_path, capsys):
@@ -235,8 +283,10 @@ def test_cli_bad_inputs_exit_2(monkeypatch, tmp_path):
         (["report", "show"], "dir"),
         (["report", "show"], "non-utf8"),
         (["report", "show"], "malformed-json"),
+        (["report", "show"], "bare-nan"),
     ],
-    ids=["config-dir", "config-non-utf8", "report-dir", "report-non-utf8", "report-malformed"],
+    ids=["config-dir", "config-non-utf8", "report-dir", "report-non-utf8", "report-malformed",
+         "report-bare-nan"],
 )
 def test_cli_unreadable_input_file_exits_2_with_one_line(tmp_path, capsys, command, bad_file):
     path = tmp_path / bad_file
@@ -244,6 +294,8 @@ def test_cli_unreadable_input_file_exits_2_with_one_line(tmp_path, capsys, comma
         path.mkdir()
     elif bad_file == "non-utf8":
         path.write_bytes(b'{"model": "\xff"}')
+    elif bad_file == "bare-nan":  # what json.dump writes for a NaN unless told not to
+        path.write_text(json.dumps({**new_report({}), "training": {"test_mse": float("nan")}}))
     else:
         path.write_text('{"schema_version": 1,')
     assert main(command + [str(path)]) == 2

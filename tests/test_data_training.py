@@ -215,3 +215,13 @@ def test_training_dense_variant_runs():
     res = train_forecaster(ds, cfg)
     assert res.variant == "dense"
     assert np.isfinite(res.test_mse)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to NaN
+@pytest.mark.parametrize("variant", ["surrogate", "dense"])
+def test_a_diverging_run_fails_the_same_way_in_both_variants(variant):
+    cfg = TrainConfig(variant=variant, d_model=4, heads=2, layers=1, d_ff=8, lr=1e300,
+                      epochs=1, seed=0)
+    res = train_forecaster(_tiny_dataset(), cfg)
+    assert res.failed and res.epochs_run == 0
+    assert not np.isfinite(res.test_mse) and not np.isfinite(res.test_mae)
