@@ -28,15 +28,8 @@ _SCHEMA: dict[str, type] = {
 
 
 def new_report(config: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config": config,
-        "checks": [],
-        "params": {},
-        "flops": {},
-        "scaling": {},
-        "training": {},
-    }
+    empty = {key: kind() for key, kind in _SCHEMA.items()}  # in _SCHEMA's key order
+    return {**empty, "schema_version": SCHEMA_VERSION, "config": config}
 
 
 def validate_report(report: dict) -> None:

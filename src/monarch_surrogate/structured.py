@@ -41,7 +41,6 @@ class PermutationSpec:
     as its own inverse.
     """
 
-    n: int
     b: int
     map: np.ndarray = field(repr=False)
 
@@ -53,7 +52,7 @@ def permutation_spec(n: int) -> PermutationSpec:
         )
     b = math.isqrt(n)
     i = np.arange(n)
-    return PermutationSpec(n=n, b=b, map=i // b + b * (i % b))
+    return PermutationSpec(b=b, map=i // b + b * (i % b))
 
 
 def pad_to_square(n: int) -> int:

@@ -13,6 +13,7 @@ from .blocks import EnhancedLayerParams, enhanced_layer_forward
 from .data import WindowedDataset
 from .errors import ConfigurationError, ContractError
 from .reference import DenseMHSAParams, dense_ffn_forward, dense_mhsa_forward
+from .structured import pad_to_square
 from .tensor import Tensor, tape_scope
 
 
@@ -78,8 +79,6 @@ class ForecasterParams:
         rng: np.random.Generator,
     ) -> "ForecasterParams":
         if variant == "surrogate":
-            from .structured import pad_to_square
-
             layers = [
                 EnhancedLayerParams.create(l_in, d_model, heads, rng, d_ffn=pad_to_square(d_ff))
                 for _ in range(n_layers)

@@ -3,7 +3,8 @@
 Each check evaluates both sides of an identity through independent code
 paths (factored vs dense oracle, attention vs convolution, direct vs
 state-space) and records the worst absolute difference over seeded trials,
-NaN if any trial gave NaN, which fails the check.
+folded by one `_worst`: a NaN in any trial fails the check, and a check asked
+to run no trial raises ConfigurationError.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ from .structured import (
     monarch_from_dense_factors,
     monarch_new,
     monarch_to_dense,
+    pad_to_square,
     permutation_spec,
 )
-from .tensor import Tensor
+from .tensor import GELU_C0, GELU_C1, Tensor
 
 THRESH_THEOREM = 1e-8
 THRESH_ORACLE = 1e-10
@@ -74,29 +76,36 @@ class CheckResult:
         }
 
 
+def _worst(trial, seeds: int, cases=(None,)):
+    """Elementwise worst of trial(rng, case) over each case and seeds 0..seeds-1.
+
+    np.max keeps a NaN, so a NaN trial fails its check; a check that ran no
+    trial would pass with nothing shown, so it is refused.
+    """
+    errors = [trial(np.random.default_rng(seed), case) for case in cases for seed in range(seeds)]
+    if not errors:
+        raise ConfigurationError(f"a check needs a trial, got {seeds} seeds for {len(cases)} cases")
+    return np.max(np.asarray(errors, dtype=float), axis=0)
+
+
 # ---------------------------------------------------------------------------
 # Monarch factored-apply oracle and the parameter law
 
 
 def check_monarch_oracle(sizes=(4, 16, 64, 256), seeds: int = 100, d: int = 3) -> CheckResult:
-    worst = 0.0
-    for n in sizes:
-        for seed in range(seeds):
-            rng = np.random.default_rng(seed)
-            m = monarch_new(n, rng=rng)
-            x = Tensor(rng.standard_normal((n, d)))
-            fast = monarch_apply(m, x, "left").data
-            worst = np.maximum(worst, float(np.abs(fast - monarch_to_dense(m) @ x.data).max()))
-    return CheckResult("monarch_oracle", worst, THRESH_ORACLE, seeds)
+    def trial(rng, n):
+        m = monarch_new(n, rng=rng)
+        x = Tensor(rng.standard_normal((n, d)))
+        return np.abs(monarch_apply(m, x, "left").data - monarch_to_dense(m) @ x.data).max()
+
+    return CheckResult("monarch_oracle", _worst(trial, seeds, sizes), THRESH_ORACLE, seeds)
 
 
 def check_parameter_law(sizes=(4, 16, 64, 256, 1024)) -> CheckResult:
-    worst = 0.0
-    for n in sizes:
-        m = monarch_new(n, np.random.default_rng(n))
-        expected = 2 * round(n**1.5)
-        worst = max(worst, abs(m.param_count - expected))
-    return CheckResult("parameter_law", worst, 0.0, len(sizes))
+    def trial(rng, n):  # the count does not depend on the drawn values
+        return abs(monarch_new(n, rng).param_count - 2 * round(n**1.5))
+
+    return CheckResult("parameter_law", _worst(trial, 1, sizes), 0.0, len(sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -106,13 +115,10 @@ def check_parameter_law(sizes=(4, 16, 64, 256, 1024)) -> CheckResult:
 def check_theorem_diagonal(
     n: int, lam: int, heads: int, d_in: int = 6, d_out: int = 5, seeds: int = 100
 ) -> CheckResult:
-    if lam % 2 == 0:
-        raise ConfigurationError(f"diagonal pattern needs odd lambda, got {lam}")
     if lam > n:
         raise ConfigurationError(f"lambda={lam} exceeds sequence length {n}")
-    worst = 0.0
-    for seed in range(seeds):
-        rng = np.random.default_rng(seed)
+
+    def trial(rng, _):  # an even lam fails in AttentionPattern
         patterns = [random_pattern("diagonal", n, lam, rng) for _ in range(heads)]
         w = [rng.standard_normal((d_in, d_out)) for _ in range(heads)]
         x = rng.standard_normal((n, d_in))
@@ -121,8 +127,9 @@ def check_theorem_diagonal(
             {int(delta): f * wh for delta, f in zip(p.offsets, p.weights)}
             for p, wh in zip(patterns, w)
         ]
-        conv = sum_of_convs_forward(x, kernels)
-        worst = np.maximum(worst, float(np.abs(attn - conv).max()))
+        return np.abs(attn - sum_of_convs_forward(x, kernels)).max()
+
+    worst = _worst(trial, seeds)
     return CheckResult(f"theorem_diagonal_n{n}_lam{lam}_h{heads}", worst, THRESH_THEOREM, seeds)
 
 
@@ -132,17 +139,16 @@ def check_theorem_vertical(
     """Equality against the fixed-tap form, plus the all-rows-identical consequence."""
     if lam > n:
         raise ConfigurationError(f"lambda={lam} exceeds sequence length {n}")
-    worst = 0.0
-    worst_rows = 0.0
-    for seed in range(seeds):
-        rng = np.random.default_rng(seed)
+
+    def trial(rng, _):
         patterns = [random_pattern("vertical", n, lam, rng) for _ in range(heads)]
         w = [rng.standard_normal((d_in, d_out)) for _ in range(heads)]
         x = rng.standard_normal((n, d_in))
         attn = patterned_mhsa_forward(x, [pattern_matrix(p) for p in patterns], w)
         tap = sum(fixed_tap_aggregation(x, p, [wh]) for p, wh in zip(patterns, w))
-        worst = np.maximum(worst, float(np.abs(attn - tap).max()))
-        worst_rows = np.maximum(worst_rows, float(np.abs(attn - attn[0]).max()))
+        return np.abs(attn - tap).max(), np.abs(attn - attn[0]).max()
+
+    worst, worst_rows = _worst(trial, seeds)
     tag = f"n{n}_lam{lam}_h{heads}"
     return (
         CheckResult(f"theorem_vertical_{tag}", worst, THRESH_THEOREM, seeds),
@@ -203,13 +209,13 @@ def check_expressiveness(c: ExpressivenessConstruction, seeds: int = 1000) -> Ch
     """Mix Q = K = V = X (no projections) with the construction and compare y_k to the monomial."""
     m1 = monarch_from_dense_factors(c.n, c.l1, c.r1)
     m2 = monarch_from_dense_factors(c.n, c.l2, c.r2)
-    worst = 0.0
-    for seed in range(seeds):
-        rng = np.random.default_rng(seed)
+
+    def trial(rng, _):
         x = Tensor(rng.uniform(-2.0, 2.0, (c.n, 1)))
         y = surrogate_mix(x, x, x, m1, m2).data[:, 0]
-        expected = x.data[c.k, 0] * x.data[c.source_index, 0] ** 2
-        worst = np.maximum(worst, abs(y[c.k] - expected))
+        return abs(y[c.k] - x.data[c.k, 0] * x.data[c.source_index, 0] ** 2)
+
+    worst = _worst(trial, seeds)
     return CheckResult(f"expressiveness_{c.mode}_n{c.n}_k{c.k}", worst, THRESH_EXACT, seeds)
 
 
@@ -224,12 +230,11 @@ def check_lti_decomposition(n: int = 16, d_head: int = 4, seeds: int = 100) -> C
     time-invariant readout is the key-weighted M1/query contraction, and the
     per-step M2-row multiply is applied as post-processing.
     """
-    worst = 0.0
-    for seed in range(seeds):
-        rng = np.random.default_rng(seed)
+    if pad_to_square(n) != n:
+        raise ConfigurationError(f"n={n} must be a perfect square for this check")
+
+    def trial(rng, _):
         params = SurrogateAttentionParams.create(n, d_head, heads=1, rng=rng)
-        if params.n_pad != n:
-            raise ConfigurationError(f"n={n} must be a perfect square for this check")
         x = rng.standard_normal((n, d_head))
         qs, ks, vs = structured_projection(Tensor(x), params)
         direct = surrogate_mix(qs[0], ks[0], vs[0], params.m1, params.m2).data
@@ -241,13 +246,13 @@ def check_lti_decomposition(n: int = 16, d_head: int = 4, seeds: int = 100) -> C
         ltipath = np.empty_like(v)
         for t in range(n):
             ltipath[t] = (m2[t] @ readout) * states[t]
-        worst = np.maximum(worst, float(np.abs(direct - ltipath).max()))
         # A = 0 memorylessness: shuffling past inputs cannot move the state
         shuffled = v.copy()
         shuffled[: n - 1] = shuffled[: n - 1][::-1]
-        if not np.array_equal(_simulate_memoryless_states(shuffled)[-1], states[-1]):
-            raise AssertionError("state at t depends on earlier inputs despite A = 0")
-    return CheckResult("lti_decomposition", worst, THRESH_ORACLE, seeds)
+        moved = np.abs(_simulate_memoryless_states(shuffled)[-1] - states[-1]).max()
+        return np.maximum(np.abs(direct - ltipath).max(), moved)
+
+    return CheckResult("lti_decomposition", _worst(trial, seeds), THRESH_ORACLE, seeds)
 
 
 def _simulate_memoryless_states(v: np.ndarray) -> np.ndarray:
@@ -281,8 +286,6 @@ def _dense_sab_oracle(x: np.ndarray, params: SurrogateAttentionParams) -> np.nda
 
 
 def _dense_sfb_oracle(x: np.ndarray, params) -> np.ndarray:
-    from .tensor import GELU_C0, GELU_C1
-
     y = np.pad(x, ((0, 0), (0, params.d_ffn - params.d_in)))
     y = y @ monarch_to_dense(params.m1)
     if params.sigma == "relu":
@@ -294,27 +297,23 @@ def _dense_sfb_oracle(x: np.ndarray, params) -> np.ndarray:
 
 
 def check_sab_oracle(sizes=((4, 4), (16, 8), (64, 16)), heads: int = 2, seeds: int = 50) -> CheckResult:
-    worst = 0.0
-    for n, d in sizes:
-        for seed in range(seeds):
-            rng = np.random.default_rng(seed)
-            params = SurrogateAttentionParams.create(n, d, heads=heads, rng=rng)
-            x = rng.standard_normal((n, d))
-            fast = surrogate_attention_forward(Tensor(x), params).data
-            worst = np.maximum(worst, float(np.abs(fast - _dense_sab_oracle(x, params)).max()))
-    return CheckResult("sab_oracle", worst, THRESH_BLOCK_ORACLE, seeds)
+    def trial(rng, shape):
+        params = SurrogateAttentionParams.create(*shape, heads=heads, rng=rng)
+        x = rng.standard_normal(shape)
+        return np.abs(surrogate_attention_forward(Tensor(x), params).data
+                      - _dense_sab_oracle(x, params)).max()
+
+    return CheckResult("sab_oracle", _worst(trial, seeds, sizes), THRESH_BLOCK_ORACLE, seeds)
 
 
 def check_sfb_oracle(sizes=((4, 4), (16, 8), (64, 16)), seeds: int = 50) -> CheckResult:
-    worst = 0.0
-    for n, d in sizes:
-        for seed in range(seeds):
-            rng = np.random.default_rng(seed)
-            params = SurrogateFFNParams.create(d, rng)
-            x = rng.standard_normal((n, d))
-            fast = surrogate_ffn_forward(Tensor(x), params).data
-            worst = np.maximum(worst, float(np.abs(fast - _dense_sfb_oracle(x, params)).max()))
-    return CheckResult("sfb_oracle", worst, THRESH_BLOCK_ORACLE, seeds)
+    def trial(rng, shape):
+        params = SurrogateFFNParams.create(shape[1], rng)
+        x = rng.standard_normal(shape)
+        return np.abs(surrogate_ffn_forward(Tensor(x), params).data
+                      - _dense_sfb_oracle(x, params)).max()
+
+    return CheckResult("sfb_oracle", _worst(trial, seeds, sizes), THRESH_BLOCK_ORACLE, seeds)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,15 @@ def test_cli_verify_select_writes_report(tmp_path, capsys):
     assert rep["checks"][0]["name"] == "parameter_law"
 
 
+def test_cli_verify_nan_projection_fails_without_traceback(monkeypatch, capsys):
+    real = verification.structured_projection
+    monkeypatch.setattr(verification, "structured_projection", lambda *args: tuple(
+        [Tensor(t.data * np.nan) for t in ts] for ts in real(*args)))
+    assert main(["verify", "--quick", "--select", "lti"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  lti_decomposition" in out and "0/1 checks passed" in out
+
+
 def test_cli_bench_params_and_flops(tmp_path):
     out = tmp_path / "bench.json"
     assert main(["bench", "params", "--out", str(out)]) == 0

@@ -215,7 +215,8 @@ def test_apply_is_one_node_and_matches_dense(b, d, side, data):
     assert y.shape == expected.shape
     assert np.abs(y.data - expected).max() <= 1e-13 * scale
     assert np.abs(x.grad - expected_grad).max() <= 1e-13 * scale
-    assert probe_rel_errors(loss, [x], 8, rng) < DEFAULT_TOL
+    # the factor gradients too: with k < n or size < n only some grid rows meet x
+    assert probe_rel_errors(loss, [x, m.left, m.right], 8, rng) < DEFAULT_TOL
 
 
 @settings(max_examples=60, deadline=None)

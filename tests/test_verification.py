@@ -104,6 +104,14 @@ def test_run_all_select_filters():
 
 
 
+def test_a_check_that_runs_no_trial_raises():
+    # a fold over no trial shows nothing: it must not report a pass
+    with pytest.raises(ConfigurationError):
+        V.check_monarch_oracle(seeds=0)
+    with pytest.raises(ConfigurationError):
+        V.run_all(V.VerifyConfig(seeds_lti=0, select=["lti"]))
+
+
 def test_every_reported_check_can_be_selected_by_name():
     names = [c.name for c in V.run_all(V.VerifyConfig(**V.QUICK))]
     assert len(names) == 95
@@ -119,6 +127,14 @@ def _nan_grads(f):
     return lambda *args: [g * np.nan for g in f(*args)]
 
 
+def _nan_array(f):
+    return lambda *args: f(*args) * np.nan
+
+
+def _nan_projection(f):
+    return lambda *args: tuple([Tensor(t.data * np.nan) for t in ts] for ts in f(*args))
+
+
 # a fold with max() would drop NaN: max(0.0, nan) is 0.0, and the check would pass
 @pytest.mark.parametrize(
     "module, name, poison, check",
@@ -131,9 +147,15 @@ def _nan_grads(f):
         (V, "surrogate_mix", _nan_output,
          lambda: V.check_expressiveness(V.build_expressiveness(4, "short_term", 1), seeds=2)),
         (V, "surrogate_mix", _nan_output, lambda: V.check_lti_decomposition(seeds=2)),
+        # NaN states as well: the memorylessness test must fail, not raise
+        (V, "structured_projection", _nan_projection, lambda: V.check_lti_decomposition(seeds=2)),
+        (V, "sum_of_convs_forward", _nan_array, lambda: V.check_theorem_diagonal(8, 3, 2, seeds=2)),
+        (V, "fixed_tap_aggregation", _nan_array,
+         lambda: V.check_theorem_vertical(8, 2, 2, seeds=2)[0]),
         (G, "analytic_grad", _nan_grads, lambda: V.check_layer_gradients(probes=4)),
     ],
-    ids=["monarch_oracle", "sab_oracle", "sfb_oracle", "expressiveness", "lti", "gradcheck"],
+    ids=["monarch_oracle", "sab_oracle", "sfb_oracle", "expressiveness", "lti",
+         "lti-projection", "theorem_diagonal", "theorem_vertical", "gradcheck"],
 )
 def test_a_nan_trial_fails_its_check(monkeypatch, module, name, poison, check):
     monkeypatch.setattr(module, name, poison(getattr(module, name)))
