@@ -223,12 +223,14 @@ def surrogate_ffn_forward(x: Tensor, params: SurrogateFFNParams) -> Tensor:
     """Feature-axis swap Y = sigma(X M1) M2 at the Monarch size, read at width d_in.
 
     X's columns d_in.. are implicit zeros, and only the first d_in columns
-    of the output are computed.
+    of the output are computed.  The wide hidden sigma(X M1) is held
+    feature-major, (d_ffn, rows), the layout both applies work in, so only
+    the d_in-wide ends are transposed.
     """
     if x.shape[1] != params.d_in:
         raise DimensionError(f"input width {x.shape[1]} != d_in {params.d_in}")
-    y = T.activation(monarch_apply(params.m1, x, "right"), params.sigma)
-    return monarch_apply(params.m2, y, "right", params.d_in)
+    h = T.activation(monarch_apply(params.m1, x, "right", t_out=True), params.sigma)
+    return monarch_apply(params.m2, h, "right", params.d_in, t_in=True)
 
 
 def enhanced_layer_forward(x: Tensor, params: EnhancedLayerParams) -> Tensor:

@@ -12,6 +12,14 @@ over every group and block; the whole apply is a single tape node with a
 hand-written backward, and the right apply is the left apply of the
 transpose.
 
+Each end of an apply, operand and result, is laid out one of two ways: the
+Monarch axis down the columns, (n, d), as a left apply takes and returns
+them, or along the rows, (d, n), as a right apply does.  Either end may be
+asked for in the other layout, so a chain of right applies can keep a wide
+activation Monarch-axis-first and transpose only at its narrow ends.  An
+operand that already fills whole grid rows contiguously is read in place;
+any other is copied once into the grid.
+
 The apply takes padding as block shapes rather than as zeros: an operand
 with k < n rows stands for its zero-padded self, and the first factor
 multiplies only the grid rows that can be nonzero; `size` < n asks for the
@@ -183,16 +191,19 @@ def _to_grid(cols: np.ndarray, b: int) -> np.ndarray:
     """P on k <= n rows of g column stacks (g, k, d): a (g, b, ceil(k/b), d) stack.
 
     out[:, j, i] holds cols[:, i*b + j].  Only the grid rows that can be
-    nonzero are kept, and the unfilled tail of the last one is zero.  The
-    rows are copied once into a fresh buffer and the result is a strided
-    view of it, which np.matmul reads directly.
+    nonzero are kept, and the unfilled tail of the last one is zero.  An
+    operand that fills whole grid rows and is C-contiguous is read in place;
+    any other is copied once into a fresh, zero-padded buffer.  Either way
+    the result is a strided view, which np.matmul reads directly.
     """
     g, k, d = cols.shape
     rows = -(-k // b)
-    z = np.empty((g, rows * b, d))
-    z[:, :k] = cols
-    z[:, k:] = 0.0
-    return z.reshape(g, rows, b, d).transpose(0, 2, 1, 3)
+    if k % b or not cols.flags.c_contiguous:
+        z = np.empty((g, rows * b, d))
+        z[:, :k] = cols
+        z[:, k:] = 0.0
+        cols = z
+    return cols.reshape(g, rows, b, d).transpose(0, 2, 1, 3)
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -200,24 +211,26 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def _stack(a: np.ndarray, g: int, flip: bool) -> np.ndarray:
+def _stack(a: np.ndarray, g: int, along_rows: bool) -> np.ndarray:
     """The (g, k, d) columns a Monarch's g groups act on, as a view of a.
 
-    Left (flip False): a is (k, g*d) and group i takes column chunk i.
-    Right (flip True): a is (d, g*k) and group i takes column chunk i, transposed.
+    Monarch axis down the columns (along_rows False): a is (k, g*d) and
+    group i takes column chunk i.  Along the rows (True): a is (d, g*k) and
+    group i takes column chunk i, transposed.
     """
     r, c = a.shape
     s = a.reshape(r, g, c // g)
-    return s.transpose(1, 2, 0) if flip else s.transpose(1, 0, 2)
+    return s.transpose(1, 2, 0) if along_rows else s.transpose(1, 0, 2)
 
 
-def _unstack(s: np.ndarray, flip: bool) -> np.ndarray:
-    """Inverse of `_stack`: (g, k, d) group columns back to a 2-D operand."""
-    t = s.transpose(2, 0, 1) if flip else s.transpose(1, 0, 2)
+def _unstack(s: np.ndarray, along_rows: bool) -> np.ndarray:
+    """Inverse of `_stack`: (g, k, d) group columns back to a 2-D array."""
+    t = s.transpose(2, 0, 1) if along_rows else s.transpose(1, 0, 2)
     return t.reshape(t.shape[0], -1)
 
 
-def monarch_apply(m: MonarchMatrix, x: Tensor, side: str, size: int | None = None) -> Tensor:
+def monarch_apply(m: MonarchMatrix, x: Tensor, side: str, size: int | None = None, *,
+                  t_in: bool = False, t_out: bool = False) -> Tensor:
     """Factored apply as one tape node; differentiable in x and both block stacks.
 
     side 'left' computes (dense(M) @ x)[:size] for x of shape (k, d); side
@@ -227,19 +240,23 @@ def monarch_apply(m: MonarchMatrix, x: Tensor, side: str, size: int | None = Non
     and size defaults to n.  A grouped Monarch splits x's columns into
     `groups` equal chunks and applies group i to chunk i, on either side: the
     result is the chunks' results side by side, (size, g*d) left or
-    (d, g*size) right.  Every case runs the same code on the (g, b, b, d)
-    stack of columns: the first factor multiplies only the ceil(k/b) grid rows
-    x can fill, the second computes only the ceil(size/b) grid rows kept, and
-    each product is written straight into its grid-transposed slot.
+    (d, g*size) right.  t_in says x is given in the other side's layout, each
+    chunk transposed: (k, g*d) for a right apply, (d, g*k) for a left one;
+    t_out returns the result so, and x's gradient keeps x's layout.  Every
+    case runs the same code on the (g, b, b, d) stack of columns: the first
+    factor multiplies only the ceil(k/b) grid rows x can fill, the second
+    computes only the ceil(size/b) grid rows kept, and each product is
+    written straight into its grid-transposed slot.
     """
     if side not in ("left", "right"):
         raise ConfigurationError(f"side must be 'left' or 'right', got {side!r}")
     flip = side == "right"
+    in_rows, out_rows = flip != t_in, flip != t_out  # Monarch axis along the rows, per end
     orient = _t if flip else (lambda a: a)
     n, b, g = m.n, m.b, m.groups
     if x.data.ndim != 2 or x.shape[1] % g:
         raise DimensionError(f"{side} apply: x has shape {x.shape}, not {g} equal column chunks")
-    cols = _stack(x.data, g, flip)  # (g, k, d): the columns each group acts on
+    cols = _stack(x.data, g, in_rows)  # (g, k, d): the columns each group acts on
     _, k, d = cols.shape
     if not 1 <= k <= n:
         raise DimensionError(f"{side} apply: x has shape {x.shape}, Monarch size is {n}")
@@ -257,10 +274,10 @@ def monarch_apply(m: MonarchMatrix, x: Tensor, side: str, size: int | None = Non
     np.matmul(f, z, out=u.transpose(0, 2, 1, 3))
     v = np.empty((g, mb, b, d))
     np.matmul(s, u, out=v.transpose(0, 2, 1, 3))
-    out = Tensor(np.ascontiguousarray(_unstack(v.reshape(g, mb * b, d)[:, :size], flip)))
+    out = Tensor(np.ascontiguousarray(_unstack(v.reshape(g, mb * b, d)[:, :size], out_rows)))
 
     def bwd(grad):
-        gv = _to_grid(_stack(grad, g, flip), b)  # (g, b, mb, d)
+        gv = _to_grid(_stack(grad, g, out_rows), b)  # (g, b, mb, d)
         ds = np.zeros((g, b, b, b))
         np.matmul(gv, _t(u), out=ds[..., :mb, :])
         gu = np.empty((g, b, b, d))
@@ -269,7 +286,7 @@ def monarch_apply(m: MonarchMatrix, x: Tensor, side: str, size: int | None = Non
         np.matmul(gu, _t(z), out=df[..., :kb])
         gx = np.empty((g, kb, b, d))
         np.matmul(_t(f), gu, out=gx.transpose(0, 2, 1, 3))
-        return (_unstack(gx.reshape(g, kb * b, d)[:, :k], flip),
+        return (_unstack(gx.reshape(g, kb * b, d)[:, :k], in_rows),
                 orient(df).reshape(first.shape), orient(ds).reshape(second.shape))
 
     flop_meter.add(g * monarch_apply_muladds(n, d, k, size))

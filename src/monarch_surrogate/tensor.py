@@ -213,16 +213,17 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(f"layer_norm needs at least 2 features, got {n}")
     if gain.shape != (n,) or bias.shape != (n,):
         raise DimensionError(f"layer_norm: gain/bias must have shape ({n},)")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (a.data - mu) * inv
+    # each mean rounds as ndarray.mean, and mean(c * c) as ndarray.var
+    mean = lambda t: np.add.reduce(t, axis=-1, keepdims=True) / n
+    c = a.data - mean(a.data)  # centred once
+    inv = 1.0 / np.sqrt(mean(c * c) + LAYER_NORM_EPS)
+    xhat = np.multiply(c, inv, out=c)
     out = Tensor(xhat * gain.data + bias.data)
 
     def bwd(g):
         gy = g * gain.data
-        m1 = gy.mean(axis=-1, keepdims=True)
-        m2 = (gy * xhat).mean(axis=-1, keepdims=True)
+        m1 = mean(gy)
+        m2 = mean(gy * xhat)
         lead = tuple(range(g.ndim - 1))
         return inv * (gy - m1 - xhat * m2), (g * xhat).sum(axis=lead), g.sum(axis=lead)
 

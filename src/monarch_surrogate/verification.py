@@ -323,8 +323,12 @@ def check_sfb_oracle(sizes=((4, 4), (16, 8), (64, 16)), seeds: int = 50) -> Chec
 def check_layer_gradients(
     n: int = 6, d_model: int = 4, heads: int = 2, probes: int = 50, seed: int = 0
 ) -> CheckResult:
+    """Finite differences at max(probes, parameter tensors) coordinates: its seeds_run."""
+    if probes < 1:
+        raise ConfigurationError(f"layer_gradients needs probes >= 1, got {probes}")
     rng = np.random.default_rng(seed)
     params = EnhancedLayerParams.create(n, d_model, heads, rng)
+    tensors = params.parameters()
     x = Tensor(rng.standard_normal((n, d_model)))
     target = rng.standard_normal((n, d_model))
 
@@ -333,8 +337,8 @@ def check_layer_gradients(
         diff = T.sub(y, Tensor(target))
         return T.sum_all(T.elementwise_mul(diff, diff))
 
-    worst = float(probe_rel_errors(loss, params.parameters(), probes, rng))
-    return CheckResult("layer_gradients", worst, THRESH_GRAD, probes)
+    worst = float(probe_rel_errors(loss, tensors, probes, rng))
+    return CheckResult("layer_gradients", worst, THRESH_GRAD, max(probes, len(tensors)))
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,51 @@ def test_training_steps_keep_parameters_and_gradients_in_the_flat_buffers():
             assert all(np.array_equal(p.data, r) for p, r in zip(ps, ref)), variant
 
 
+def _meets_only_padding(b: int, d_in: int) -> np.ndarray:
+    """(b, b, b) mask of the ffn.m1.left entries [j, i, :] whose grid slot i*b + j >= d_in.
+
+    The SFB's first apply meets m1.left[j][i, :] only with input feature
+    i*b + j, and the second makes output feature i*b + j only from
+    m2.right[j][:, i]; features d_in.. are zero padding on both ends.
+    """
+    j, i = np.meshgrid(np.arange(b), np.arange(b), indexing="ij")
+    return np.broadcast_to((i * b + j >= d_in)[:, :, None], (b, b, b))
+
+
+@pytest.mark.parametrize("shape, padding_only, total", [
+    ("sine", 768, 22_544),
+    ("paper", 295_136, 2_544_384),
+])
+def test_sfb_entries_that_meet_only_padding_get_no_gradient_and_stay_put(shape, padding_only,
+                                                                        total):
+    cfg, t = ModelConfig(), TrainConfig()
+    if shape == "sine":
+        cfg = ModelConfig(d_model=t.d_model, heads=t.heads, n_seq=48, layers=t.layers,
+                          d_ff=t.d_ff, l_out=24)
+    rng = np.random.default_rng(3)
+    params = ForecasterParams.create("surrogate", cfg.n_seq, cfg.l_out, cfg.d_model, cfg.heads,
+                                     cfg.layers, cfg.d_ff, rng)
+    ps = params.parameters()
+    ffns = [layer.ffn for layer in params.layers]
+    masks = [_meets_only_padding(f.m1.b, f.d_in) for f in ffns]
+    pinned = [(f.m1.left, mask) for f, mask in zip(ffns, masks)]
+    pinned += [(f.m2.right, mask.transpose(0, 2, 1)) for f, mask in zip(ffns, masks)]
+    assert sum(int(mask.sum()) for _, mask in pinned) == padding_only
+    assert sum(p.data.size for p in ps) == total
+    initial = [p.data[mask].copy() for p, mask in pinned]
+    opt = Adam(ps, lr=t.lr)
+    for _ in range(2):
+        opt.zero_grad()
+        with tape_scope() as tape:
+            pred = forecaster_forward(Tensor(rng.standard_normal((cfg.n_seq, 1))), params)
+            diff = T.sub(pred, Tensor(rng.standard_normal((1, cfg.l_out))))
+            tape.backward(T.mean_all(T.elementwise_mul(diff, diff)))
+        for p, mask in pinned:
+            assert not p.grad[mask].any() and p.grad[~mask].any()
+        opt.step()
+    assert all(np.array_equal(p.data[mask], x) for (p, mask), x in zip(pinned, initial))
+
+
 @pytest.mark.parametrize("shape, nodes", [
     ("sine", {"surrogate": 22, "dense": 26}),
     ("paper", {"surrogate": 37, "dense": 45}),

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from monarch_surrogate import tensor as T
 from monarch_surrogate.errors import ConfigurationError, DimensionError
-from monarch_surrogate.gradcheck import DEFAULT_TOL, max_rel_error, probe_rel_errors
+from monarch_surrogate.gradcheck import max_rel_error
 from monarch_surrogate.structured import (
     FlopMeter,
     MonarchMatrix,
+    _to_grid,
     block_diag_dense,
     flop_meter,
     monarch_apply,
@@ -179,57 +180,113 @@ def test_gradients_through_apply(side):
     assert max_rel_error(loss, [m.left, m.right, x]) < 1e-6
 
 
-@settings(max_examples=60, deadline=None)
+def _laid_out(a, order):
+    """a as a C-ordered, an F-ordered or a strided (non-contiguous) array."""
+    if order == "C":
+        return np.ascontiguousarray(a)
+    if order == "F":
+        return np.asfortranarray(a)
+    wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+    wide[:, ::2] = a
+    return wide[:, ::2]
+
+
+def _dense_factor_grads(m, g):
+    """Gradients of <g, dense(M)> in M's two factor stacks, through dense matrices.
+
+    dense(M) = P.L.P.R.P, so d/dL = P.g.(P.R.P)^T and d/dR = (P.L.P)^T.g.P,
+    each read on its diagonal blocks.
+    """
+    b = m.b
+    p = np.eye(m.n)[permutation_spec(m.n).map]
+    ldense, rdense = block_diag_dense(m.left.data), block_diag_dense(m.right.data)
+    blocks = lambda a: np.stack([a[j * b : (j + 1) * b, j * b : (j + 1) * b] for j in range(b)])
+    return blocks(p @ g @ (p @ rdense @ p).T), blocks((p @ ldense @ p).T @ g @ p)
+
+
+def test_to_grid_reads_whole_contiguous_grid_rows_in_place():
+    b, d = 4, 3
+    cols = np.random.default_rng(0).standard_normal((2, 8, d))  # two whole grid rows
+    z = _to_grid(cols, b)
+    assert z.shape == (2, b, 2, d) and np.shares_memory(z, cols)
+    assert np.array_equal(z[:, 1, 0], cols[:, 1])  # out[:, j, i] = cols[:, i*b + j]
+    for other in (cols[:, :7], cols.transpose(0, 2, 1).copy().transpose(0, 2, 1)):
+        z = _to_grid(other, b)
+        assert not np.shares_memory(z, cols)
+        assert np.array_equal(z.transpose(0, 2, 1, 3).reshape(2, 8, d)[:, : other.shape[1]], other)
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     b=st.integers(1, 16),
     d=st.integers(1, 12),
     side=st.sampled_from(["left", "right"]),
+    t_in=st.booleans(),
+    t_out=st.booleans(),
+    order=st.sampled_from(["C", "F", "strided"]),
     data=st.data(),
 )
-def test_apply_is_one_node_and_matches_dense(b, d, side, data):
-    # k input rows (left) or columns (right), the rest implicit zeros; size kept
+def test_apply_is_one_node_and_matches_dense(b, d, side, t_in, t_out, order, data):
+    # k input rows (left) or columns (right), the rest implicit zeros; size
+    # kept.  t_in / t_out give x / the result transposed; a whole-grid-row k
+    # with x in the layout the apply stacks (C for 'left', F for 'right', the
+    # other way round under t_in) is read in place, any other is copied
     n = b * b
-    k = data.draw(st.integers(1, n), label="k")
+    aligned = data.draw(st.booleans(), label="aligned")
+    k = data.draw(st.integers(1, b).map(lambda r: r * b) if aligned else st.integers(1, n), label="k")
     size = data.draw(st.integers(1, n), label="size")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     m = monarch_new(n, rng=rng)
     dense = monarch_to_dense(m)
     if side == "left":  # zero-pad to n rows, apply densely, keep `size` rows
-        x = Tensor(rng.standard_normal((k, d)), requires_grad=True)
-        expected = (dense @ np.pad(x.data, ((0, n - k), (0, 0))))[:size]
+        xn = rng.standard_normal((k, d))
+        padded = np.pad(xn, ((0, n - k), (0, 0)))
+        expected = (dense @ padded)[:size]
     else:
-        x = Tensor(rng.standard_normal((d, k)), requires_grad=True)
-        expected = (np.pad(x.data, ((0, 0), (0, n - k))) @ dense)[:, :size]
-    w = rng.standard_normal(expected.shape)
-    loss = lambda: T.sum_all(T.elementwise_mul(monarch_apply(m, x, side, size), Tensor(w)))
+        xn = rng.standard_normal((d, k))
+        padded = np.pad(xn, ((0, 0), (0, n - k)))
+        expected = (padded @ dense)[:, :size]
+    x = Tensor(_laid_out(xn.T if t_in else xn, order), requires_grad=True)
+    w = rng.standard_normal(expected.shape)  # loss = sum(y * w) in y's nominal layout
+    wt = w.T if t_out else w
     with tape_scope() as tape:
-        y = monarch_apply(m, x, side, size)
+        y = monarch_apply(m, x, side, size, t_in=t_in, t_out=t_out)
         assert len(tape) == 1
-        tape.backward(T.sum_all(T.elementwise_mul(y, Tensor(w))))
-    # loss = sum(y * w): dloss/dx is the kept part of dense^T times w, cut to k
+        tape.backward(T.sum_all(T.elementwise_mul(y, Tensor(wt))))
+    # dloss/dx is the kept part of dense^T times w, cut to k; dloss/d dense(M)
+    # is w against the padded x, and the factor gradients follow from it
     if side == "left":
         expected_grad = (dense[:size].T @ w)[:k]
+        g_dense = np.pad(w, ((0, n - size), (0, 0))) @ padded.T
     else:
         expected_grad = (w @ dense[:, :size].T)[:, :k]
+        g_dense = padded.T @ np.pad(w, ((0, 0), (0, n - size)))
+    d_left, d_right = _dense_factor_grads(m, g_dense)
     scale = np.sqrt(n) * max(1.0, np.abs(x.data).max(), np.abs(w).max())
-    assert y.shape == expected.shape
-    assert np.abs(y.data - expected).max() <= 1e-13 * scale
-    assert np.abs(x.grad - expected_grad).max() <= 1e-13 * scale
-    # the factor gradients too: with k < n or size < n only some grid rows meet x
-    assert probe_rel_errors(loss, [x, m.left, m.right], 8, rng) < DEFAULT_TOL
+    assert y.shape == wt.shape and y.data.flags.c_contiguous
+    assert np.abs(y.data - (expected.T if t_out else expected)).max() <= 1e-13 * scale
+    assert x.grad.shape == x.shape
+    assert np.abs(x.grad - (expected_grad.T if t_in else expected_grad)).max() <= 1e-13 * scale
+    assert np.abs(m.left.grad - d_left).max() <= 1e-13 * n * scale
+    assert np.abs(m.right.grad - d_right).max() <= 1e-13 * n * scale
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     heads=st.integers(1, 4),
     width=st.integers(1, 7),
     n=st.integers(1, 40),
     side=st.sampled_from(["left", "right"]),
+    t_in=st.booleans(),
+    t_out=st.booleans(),
+    order=st.sampled_from(["C", "F", "strided"]),
     data=st.data(),
 )
-def test_grouped_apply_is_one_node_and_equals_per_group_applies(heads, width, n, side, data):
+def test_grouped_apply_is_one_node_and_equals_per_group_applies(
+        heads, width, n, side, t_in, t_out, order, data):
     # x is (n, heads * width); group h acts on column chunk h: across its
-    # width (right, as the Q/K/V projections) or down its n rows (left)
+    # width (right, as the Q/K/V projections) or down its n rows (left).
+    # Under t_in each chunk is given transposed, under t_out each result chunk
     n_mon = pad_to_square(width if side == "right" else n)
     size = data.draw(st.integers(1, n_mon), label="size")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -238,19 +295,23 @@ def test_grouped_apply_is_one_node_and_equals_per_group_applies(heads, width, n,
         Tensor(np.stack([m.left.data for m in ms]), requires_grad=True),
         Tensor(np.stack([m.right.data for m in ms]), requires_grad=True),
     )
-    x = Tensor(rng.standard_normal((n, heads * width)), requires_grad=True)
-    chunks = [Tensor(x.data[:, h * width : (h + 1) * width], requires_grad=True)
+    xn = np.split(rng.standard_normal((n, heads * width)), heads, axis=1)
+    x = Tensor(_laid_out(np.concatenate([c.T if t_in else c for c in xn], axis=1), order),
+               requires_grad=True)
+    chunk = x.shape[1] // heads
+    chunks = [Tensor(x.data[:, h * chunk : (h + 1) * chunk], requires_grad=True)
               for h in range(heads)]
-    ys = [monarch_apply(m, c, side, size) for m, c in zip(ms, chunks)]
+    apply = lambda m, a: monarch_apply(m, a, side, size, t_in=t_in, t_out=t_out)
+    ys = [apply(m, c) for m, c in zip(ms, chunks)]
     w = rng.standard_normal((ys[0].shape[0], sum(y.shape[1] for y in ys)))
     with tape_scope() as tape:
-        y = monarch_apply(grouped, x, side, size)
+        y = apply(grouped, x)
         assert len(tape) == 1
         tape.backward(T.sum_all(T.elementwise_mul(y, Tensor(w))))
     cut = np.cumsum([y.shape[1] for y in ys])[:-1]
     for m, c, wh in zip(ms, chunks, np.split(w, cut, axis=1)):
         with tape_scope() as tape:
-            tape.backward(T.sum_all(T.elementwise_mul(monarch_apply(m, c, side, size), Tensor(wh))))
+            tape.backward(T.sum_all(T.elementwise_mul(apply(m, c), Tensor(wh))))
     assert np.array_equal(y.data, np.concatenate([y.data for y in ys], axis=1))
     assert np.array_equal(x.grad, np.concatenate([c.grad for c in chunks], axis=1))
     assert np.array_equal(grouped.left.grad, np.stack([m.left.grad for m in ms]))

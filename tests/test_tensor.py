@@ -102,6 +102,30 @@ def test_layer_norm_normalizes_and_grad():
     _grad_matches(loss, [a, gain, bias], tol=1e-5)
 
 
+@pytest.mark.parametrize("shape", [(5, 8), (3, 4, 6)])
+def test_layer_norm_is_bit_identical_to_the_mean_var_formula(shape):
+    # the centred-once forward and its backward round exactly as ndarray.mean / .var
+    rng = np.random.default_rng(11)
+    a = Tensor(rng.standard_normal(shape) * 3.0 + 1.5, requires_grad=True)
+    gain = Tensor(rng.standard_normal(shape[-1]), requires_grad=True)
+    bias = Tensor(rng.standard_normal(shape[-1]), requires_grad=True)
+    g = rng.standard_normal(shape)
+    with tape_scope() as tape:
+        y = T.layer_norm(a, gain, bias)
+        tape.backward(T.sum_all(T.elementwise_mul(y, Tensor(g))))
+    x = a.data
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + T.LAYER_NORM_EPS)
+    xhat = (x - x.mean(axis=-1, keepdims=True)) * inv
+    gy = g * gain.data
+    lead = tuple(range(g.ndim - 1))
+    m1 = gy.mean(axis=-1, keepdims=True)
+    m2 = (gy * xhat).mean(axis=-1, keepdims=True)
+    assert np.array_equal(y.data, xhat * gain.data + bias.data)
+    assert np.array_equal(a.grad, inv * (gy - m1 - xhat * m2))
+    assert np.array_equal(gain.grad, (g * xhat).sum(axis=lead))
+    assert np.array_equal(bias.grad, g.sum(axis=lead))
+
+
 def test_layer_norm_needs_two_features():
     with pytest.raises(DimensionError):
         T.layer_norm(Tensor(np.zeros((2, 1))), Tensor(np.ones(1)), Tensor(np.zeros(1)))

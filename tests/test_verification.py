@@ -112,6 +112,20 @@ def test_a_check_that_runs_no_trial_raises():
         V.run_all(V.VerifyConfig(seeds_lti=0, select=["lti"]))
 
 
+@pytest.mark.parametrize("probes", [0, -5])
+def test_layer_gradients_with_no_probe_raises(probes):
+    with pytest.raises(ConfigurationError, match="probes >= 1"):
+        V.run_all(V.VerifyConfig(gradient_probes=probes, select=["layer_gradients"]))
+
+
+def test_layer_gradients_reports_the_coordinates_it_probed():
+    # one coordinate per parameter tensor at least, then up to `probes`
+    tensors = len(V.EnhancedLayerParams.create(6, 4, 2, np.random.default_rng(0)).parameters())
+    assert tensors == 19
+    assert V.check_layer_gradients(probes=5).seeds_run == tensors
+    assert V.check_layer_gradients(probes=30).seeds_run == 30
+
+
 def test_every_reported_check_can_be_selected_by_name():
     names = [c.name for c in V.run_all(V.VerifyConfig(**V.QUICK))]
     assert len(names) == 95
