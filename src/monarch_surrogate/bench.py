@@ -45,6 +45,8 @@ class ModelConfig:
             raise ConfigurationError(
                 f"d_model={self.d_model} not divisible by heads={self.heads}"
             )
+        if self.d_ffn < self.d_model:  # the surrogate FFN could not be built
+            raise ConfigurationError(f"d_ffn={self.d_ffn} smaller than d_in={self.d_model}")
 
     @property
     def d_head(self) -> int:
@@ -191,8 +193,9 @@ def fit_scaling_exponent(sizes, costs) -> float:
     return float(np.polyfit(np.log(sizes), np.log(costs), 1)[0])
 
 
-def analytic_scaling(sizes=(64, 256, 1024, 4096, 16384)) -> dict:
+def analytic_scaling() -> dict:
     """Exponents implied by the cost formulas themselves."""
+    sizes = (64, 256, 1024, 4096, 16384)
     monarch = [monarch_apply_muladds(n, 1) for n in sizes]
     dense = [n * n for n in sizes]
     return {

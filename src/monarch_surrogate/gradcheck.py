@@ -8,14 +8,11 @@ import numpy as np
 
 from .tensor import Tensor, tape_scope
 
-DEFAULT_STEP = 1e-6
-DEFAULT_TOL = 1e-4
-
 
 def analytic_grad(f: Callable[[], Tensor], params: Sequence[Tensor]) -> list[np.ndarray]:
     """Gradients of the scalar closure for each parameter, via one taped pass."""
     for p in params:
-        p.zero_grad()
+        p.grad = None
     with tape_scope() as tape:
         loss = f()
         tape.backward(loss)
@@ -46,20 +43,16 @@ def _worst_rel_error(
     return float(worst)
 
 
-def max_rel_error(f: Callable[[], Tensor], params: Sequence[Tensor], step: float = DEFAULT_STEP) -> float:
-    """Worst element-wise relative error between analytic and numeric grads."""
+def max_rel_error(f: Callable[[], Tensor], params: Sequence[Tensor]) -> float:
+    """Worst element-wise relative error between analytic and numeric grads, at step 1e-6."""
     coords = [(pi, ci) for pi, p in enumerate(params) for ci in range(p.data.size)]
-    return _worst_rel_error(f, params, coords, step)
+    return _worst_rel_error(f, params, coords, 1e-6)
 
 
 def probe_rel_errors(
-    f: Callable[[], Tensor],
-    params: Sequence[Tensor],
-    probes: int,
-    rng: np.random.Generator,
-    step: float = 1e-5,
+    f: Callable[[], Tensor], params: Sequence[Tensor], probes: int, rng: np.random.Generator
 ) -> float:
-    """Spot-check random coordinates across all parameters.
+    """Spot-check random coordinates across all parameters, at step 1e-5.
 
     Every parameter gets at least one probe; the remaining probes are spread
     uniformly over coordinates.  Returns the worst relative error seen.
@@ -73,4 +66,4 @@ def probe_rel_errors(
                 coords.append((pi, flat_i))
                 break
             flat_i -= p.data.size
-    return _worst_rel_error(f, params, coords, step)
+    return _worst_rel_error(f, params, coords, 1e-5)

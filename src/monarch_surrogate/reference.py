@@ -53,10 +53,8 @@ def dense_mhsa_forward(x: Tensor, params: DenseMHSAParams) -> Tensor:
 
 
 def dense_ffn_forward(x: Tensor, w1: Tensor, w2: Tensor, sigma: str) -> Tensor:
-    """Two-layer network sigma(X W1) W2^T with W1, W2 of shape (d_in, d_m)."""
-    if w1.shape != w2.shape:
-        raise DimensionError(f"dense FFN weights disagree: {w1.shape} vs {w2.shape}")
-    return T.matmul(T.activation(T.matmul(x, w1), sigma), T.transpose(w2))
+    """Two-layer network sigma(X W1) W2, W1 (d_in, d_m) and W2 (d_m, d_in); a mismatch fails a matmul."""
+    return T.matmul(T.activation(T.matmul(x, w1), sigma), w2)
 
 
 @dataclass

@@ -27,7 +27,8 @@ class Tensor:
 
     `_node_id` is its index on the tape that recorded it, None if none did.
     `grad_home`, when set (an optimizer's buffer view), is the preallocated
-    array a first gradient is copied into, so backward allocates none.
+    array a first gradient is copied into, so no per-parameter gradient copy
+    is allocated.  Clear a gradient with `t.grad = None`.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_node_id", "grad_home")
@@ -42,9 +43,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         """Add g to .grad, unless the tensor wants none: no leaf to train, not recorded."""

@@ -35,7 +35,8 @@ class DenseLayerParams:
         return cls(
             attn=DenseMHSAParams.create(d_model, heads, rng),
             w1=Tensor(rng.normal(0.0, d_model**-0.5, (d_model, d_ff)), requires_grad=True),
-            w2=Tensor(rng.normal(0.0, d_ff**-0.5, (d_model, d_ff)), requires_grad=True),
+            # drawn as (d_model, d_ff), the draw a seed has always given, stored as read
+            w2=Tensor(rng.normal(0.0, d_ff**-0.5, (d_model, d_ff)).T.copy(), requires_grad=True),
             ln1_gain=Tensor(np.ones(d_model), requires_grad=True),
             ln1_bias=Tensor(np.zeros(d_model), requires_grad=True),
             ln2_gain=Tensor(np.ones(d_model), requires_grad=True),
@@ -124,9 +125,11 @@ ADAM_CHUNK = 1 << 15
 class Adam:
     """Adam with bias correction over one flat float64 buffer of every parameter.
 
-    After `Adam(params)` each `p.data` is a view of `flat`, and each `p.grad`
-    backward fills is a view of `grads`; `m` and `v` share the layout.  Write
-    into these views in place, never rebind them: they are reused every step.
+    After `Adam(params)` each `p.data` is a view of `flat` and each
+    `p.grad_home` a view of `grads`; `m` and `v` share the layout.  Backward
+    puts each parameter's gradient in its `grad_home`, and `step` updates from
+    `grads` only.  Write into the views in place, never rebind them: they are
+    reused every step.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -138,29 +141,28 @@ class Adam:
         offsets = np.cumsum([0] + [p.data.size for p in params])
         self.flat, self.grads, self.m, self.v = self._state = np.zeros((4, offsets[-1]))
         self._scratch = np.empty((2, min(ADAM_CHUNK, offsets[-1])))
-        self._layout = []  # (parameter, its view of flat, its [lo, hi) in the buffers)
+        self._layout = []  # (parameter, its view of flat)
         for p, lo, hi in zip(params, offsets, offsets[1:]):
             self.flat[lo:hi] = p.data.ravel()
             p.data, p.grad_home = self.flat[lo:hi].reshape(p.shape), self.grads[lo:hi].reshape(p.shape)
-            self._layout.append((p, p.data, lo, hi))
+            self._layout.append((p, p.data))
 
     def step(self) -> None:
         """Update m, v and each parameter in place, in the textbook op order.
 
         Every array op rounds as in m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g
         and p -= lr*m_hat / (sqrt(v_hat) + eps), so the step is bit-identical
-        to that out-of-place formula.  A parameter whose .grad is None is left as it was.
+        to that out-of-place formula.  Each parameter's .data must still be its
+        view of flat and its .grad its grad_home, where backward put it: a
+        gradient that is None or was set by hand raises ContractError before
+        any state changes.
         """
+        for p, view in self._layout:
+            if p.data is not view or p.grad is not p.grad_home:
+                raise ContractError(f"a {p.shape} parameter's .data or .grad is not its view of Adam's"
+                                    " buffers; write .data in place and let backward fill .grad")
         self.t += 1
         c1, c2 = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
-        skipped = []  # (lo, hi, saved state) of each parameter with no gradient
-        for p, view, lo, hi in self._layout:
-            if p.data is not view:
-                raise ContractError("a parameter's .data was rebound after Adam(); write in place")
-            if p.grad is None:
-                skipped.append((lo, hi, self._state[:, lo:hi].copy()))
-            elif p.grad is not p.grad_home:  # set by hand
-                p.grad_home[...] = p.grad
         for s in range(0, self.flat.size, ADAM_CHUNK):
             p, g, m, v = self._state[:, s : s + ADAM_CHUNK]
             a, b = self._scratch[:, : p.size]
@@ -171,8 +173,6 @@ class Adam:
             np.sqrt(np.divide(v, c2, out=a), out=a)
             a += self.eps
             p -= np.divide(np.multiply(np.divide(m, c1, out=b), self.lr, out=b), a, out=b)
-        for lo, hi, saved in skipped:
-            self._state[:, lo:hi] = saved
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -1,13 +1,14 @@
 """Unit tests for the surrogate attention/FFN blocks and the enhanced layer."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monarch_surrogate import training
+from monarch_surrogate import tensor as T, training
 from monarch_surrogate.blocks import (
     EnhancedLayerParams,
     SurrogateAttentionParams,
@@ -19,7 +20,7 @@ from monarch_surrogate.blocks import (
 from monarch_surrogate.data import build_dataset
 from monarch_surrogate.errors import ConfigurationError, DimensionError
 from monarch_surrogate.structured import pad_to_square
-from monarch_surrogate.tensor import LAYER_NORM_EPS, Tensor
+from monarch_surrogate.tensor import LAYER_NORM_EPS, Tensor, tape_scope
 from monarch_surrogate.training import DenseLayerParams, ForecasterParams
 from monarch_surrogate.verification import (
     THRESH_BLOCK_ORACLE,
@@ -173,10 +174,11 @@ def test_parameters_hold_each_stack_once_and_views_follow_the_stacks(monkeypatch
                    for v, s in views)
 
     assert views_match(attn)
-    for p in params:
-        p.grad = np.ones_like(p.data)
     before = attn.w_out[1].data.copy()
-    training.Adam(params, lr=0.1).step()
+    opt = training.Adam(params, lr=0.1)
+    with tape_scope() as tape:  # every gradient is ones
+        tape.backward(functools.reduce(T.add, map(T.sum_all, params)))
+    opt.step()
     assert views_match(attn) and not np.array_equal(attn.w_out[1].data, before)
     with pytest.raises(ValueError):  # read-only: a write must go through the stack
         attn.w_out[0].data[0, 0] = 1.0

@@ -330,6 +330,8 @@ def test_cli_unreadable_input_file_exits_2_with_one_line(tmp_path, capsys, comma
         ('{"model": {"heads": 0}}', ["bench", "params"]),  # would divide by zero
         ('{"train": {"heads": 0}}', ["train", "sine"]),
         ('{"model": {"d_model": "512"}}', ["bench", "params"]),
+        # pads to a 16-wide surrogate FFN, narrower than d_model
+        ('{"model": {"d_model": 64, "heads": 4, "d_ff": 16, "n_seq": 8}}', ["bench", "params"]),
         ('{"train": {"lr": NaN}}', ["train", "sine"]),  # json reads NaN and Infinity
         ('{"data": {"amplitude": Infinity}}', ["train", "sine"]),
         ('{"data": {"noise_std": -0.5}}', ["train", "sine"]),
@@ -339,8 +341,8 @@ def test_cli_unreadable_input_file_exits_2_with_one_line(tmp_path, capsys, comma
         ('{}', ["train", "sine", "--epochs", "0"]),  # overrides the default --epochs 1
     ],
     ids=["malformed-json", "unknown-train-key", "unknown-data-key", "train-seed", "zero-heads",
-         "train-zero-heads", "non-integer", "nan", "infinity", "negative-noise", "dropout",
-         "negative-lr", "zero-lr", "zero-epochs"],
+         "train-zero-heads", "non-integer", "narrow-ffn", "nan", "infinity", "negative-noise",
+         "dropout", "negative-lr", "zero-lr", "zero-epochs"],
 )
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, text, command):
     cfg = tmp_path / "cfg.json"

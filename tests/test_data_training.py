@@ -1,5 +1,7 @@
 """Unit tests for the sine dataset pipeline and the training loop."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -86,11 +88,20 @@ def test_forecaster_rejects_a_window_one_step_short():
             forecaster_forward(Tensor(rng.standard_normal((7, 1))), p)
 
 
+def _linear_backward(params, grads):
+    """Backward of the sum of sum_all(p * G) over the pairs, which leaves each p.grad = G bit for bit."""
+    with tape_scope() as tape:
+        terms = (T.sum_all(T.elementwise_mul(p, Tensor(g))) for p, g in zip(params, grads))
+        tape.backward(functools.reduce(T.add, terms))
+
+
 def test_adam_moves_toward_minimum():
     p = Tensor(np.array([5.0]), requires_grad=True)
     opt = Adam([p], lr=0.1)
     for _ in range(200):
-        p.grad = 2.0 * p.data  # d/dp of p^2
+        opt.zero_grad()
+        with tape_scope() as tape:
+            tape.backward(T.sum_all(T.elementwise_mul(p, p)))  # d/dp of p^2 is 2p
         opt.step()
     assert abs(p.data[0]) < 0.1
 
@@ -106,15 +117,12 @@ def test_adam_in_place_step_is_bit_identical_to_the_formula():
     v = [np.zeros_like(r) for r in ref]
     lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
     opt = Adam(params, lr=lr)
-    no_grad = {(3, 1), (5, 2)}  # one gradient-less parameter between two others
     for t in range(1, 7):
-        for i, p in enumerate(params):
-            p.grad = None if (t, i) in no_grad else rng.standard_normal(p.shape)
-        grads = [p.grad for p in params]
+        grads = [rng.standard_normal(p.shape) for p in params]
+        opt.zero_grad()
+        _linear_backward(params, grads)
         opt.step()
         for i, g in enumerate(grads):
-            if g is None:  # a parameter with no gradient is left alone
-                continue
             m[i] = b1 * m[i] + (1.0 - b1) * g
             v[i] = b2 * v[i] + (1.0 - b2) * g * g
             m_hat = m[i] / (1.0 - b1**t)
@@ -125,13 +133,26 @@ def test_adam_in_place_step_is_bit_identical_to_the_formula():
         assert np.array_equal(opt.v, np.concatenate([x.ravel() for x in v]))
 
 
-def test_adam_rejects_a_parameter_rebound_after_layout():
-    p, q = (Tensor(np.ones(3), requires_grad=True) for _ in range(2))
-    opt = Adam([p, q], lr=0.1)
-    q.data = q.data.copy()  # detached: a step would no longer reach it
-    p.grad = q.grad = np.ones(3)
+@pytest.mark.parametrize("fault", ["rebound data", "no gradient", "hand-set gradient"])
+def test_adam_refuses_a_parameter_off_its_buffers_before_any_state_changes(fault):
+    rng = np.random.default_rng(4)
+    p, q = params = [Tensor(rng.standard_normal(3), requires_grad=True) for _ in range(2)]
+    opt = Adam(params, lr=0.1)
+    _linear_backward(params, [rng.standard_normal(3) for _ in params])
+    opt.step()  # a good step first, so the moments hold something to keep
+    opt.zero_grad()
+    _linear_backward(params, [rng.standard_normal(3) for _ in params])
+    if fault == "rebound data":
+        q.data = q.data.copy()  # detached: a step would no longer reach it
+    elif fault == "no gradient":
+        q.grad = None
+    else:
+        q.grad = q.grad.copy()  # the same values, but not where backward put them
+    before = [x.copy() for x in (opt.flat, opt.m, opt.v)]
     with pytest.raises(ContractError):
         opt.step()
+    assert opt.t == 1
+    assert all(np.array_equal(x, y) for x, y in zip((opt.flat, opt.m, opt.v), before))
 
 
 def test_training_steps_keep_parameters_and_gradients_in_the_flat_buffers():
@@ -210,8 +231,8 @@ def test_sfb_entries_that_meet_only_padding_get_no_gradient_and_stay_put(shape, 
 
 
 @pytest.mark.parametrize("shape, nodes", [
-    ("sine", {"surrogate": 22, "dense": 26}),
-    ("paper", {"surrogate": 37, "dense": 45}),
+    ("sine", {"surrogate": 22, "dense": 25}),
+    ("paper", {"surrogate": 37, "dense": 43}),
 ])
 def test_tape_nodes_per_training_step(shape, nodes):
     # the step train_forecaster takes: forecast, squared error, mean
@@ -228,6 +249,29 @@ def test_tape_nodes_per_training_step(shape, nodes):
             diff = T.sub(pred, Tensor(rng.standard_normal((1, cfg.l_out))))
             T.mean_all(T.elementwise_mul(diff, diff))
         assert len(tape) == expected, variant
+
+
+def test_no_dense_parameter_gets_a_strided_first_gradient(monkeypatch):
+    # accumulate_grad copies a first gradient into the parameter's grad_home;
+    # from a strided view that copy costs several times a contiguous one
+    t = TrainConfig()
+    rng = np.random.default_rng(0)
+    params = ForecasterParams.create("dense", 48, 24, t.d_model, t.heads, t.layers, t.d_ff, rng)
+    wanted = {id(p) for p in params.parameters()}
+    strided = []
+    accumulate = Tensor.accumulate_grad
+
+    def spy(self, g):
+        if id(self) in wanted and self.grad is None and not g.flags.c_contiguous:
+            strided.append(self.shape)
+        accumulate(self, g)
+
+    monkeypatch.setattr(Tensor, "accumulate_grad", spy)
+    with tape_scope() as tape:
+        pred = forecaster_forward(Tensor(rng.standard_normal((48, 1))), params)
+        diff = T.sub(pred, Tensor(rng.standard_normal((1, 24))))
+        tape.backward(T.mean_all(T.elementwise_mul(diff, diff)))
+    assert strided == []
 
 
 def _tiny_dataset():

@@ -4,6 +4,9 @@ perfbench drives the package through its public names (params fields, block
 and apply functions, the oracles, the meter).  This runs the pieces of a
 traced `sine-train` run in a subprocess, since perfbench re-imports the
 package afresh and must not leave those modules behind in this process.
+The same subprocess then runs an untraced pass of batch-1 training steps at
+the sine shape: the `zero_grad`, backward, `Adam.step` path that paper-shape
+and verify-suite train by, where sine-train goes through `train_forecaster`.
 """
 
 import json
@@ -19,7 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = textwrap.dedent(
     """
-    import json, math, sys
+    import dataclasses, json, math, sys
     sys.path[:0] = [sys.argv[1], sys.argv[2]]
     import gates, layers, workloads as W
     from spans import Tracer
@@ -44,6 +47,8 @@ SCRIPT = textwrap.dedent(
     e2e = W.end_to_end(s, out)
     for name in layers.OVERHEAD_OF:  # a traced-minus-untraced difference in run.py
         values[f"trace.overhead.{name}"] = e2e[name][0]
+    steps = W.Tally()
+    W.Pass(s, dataclasses.replace(w, train="steps", length=2), 0, steps).run(0)
     names = [n for n, _ in layers.per_layer_names()]
     print(json.dumps({
         "failed": tally.failed, "attempted": tally.attempted, "reasons": tally.reasons,
@@ -52,6 +57,7 @@ SCRIPT = textwrap.dedent(
         "e2e_not_finite": [n for n, (v, _) in e2e.items() if not math.isfinite(v)],
         "wrapped": len(spans), "span_names": len(set(spans.values())),
         "unfired": [k for k, n in spans.items() if n not in fired],
+        "steps": {"failed": steps.failed, "attempted": steps.attempted, "reasons": steps.reasons},
     }))
     """
 )
@@ -82,3 +88,9 @@ def test_perfbench_spans_fire_for_every_wrapped_function(result):
     # import, say) runs the original function, and its span never fires
     assert result["wrapped"] == result["span_names"] == 24
     assert result["unfired"] == []
+
+
+def test_perfbench_batch1_training_steps_run_with_no_failed_operation(result):
+    steps = result["steps"]
+    assert steps["attempted"] > 0
+    assert steps["failed"] == 0, steps["reasons"]

@@ -68,11 +68,11 @@ def test_dense_ffn_manual():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((3, 4))
     w1 = rng.standard_normal((4, 6))
-    w2 = rng.standard_normal((4, 6))
+    w2 = rng.standard_normal((6, 4))
     got = dense_ffn_forward(Tensor(x), Tensor(w1), Tensor(w2), "relu").data
-    assert np.abs(got - np.maximum(x @ w1, 0.0) @ w2.T).max() < 1e-12
-    with pytest.raises(DimensionError):
-        dense_ffn_forward(Tensor(x), Tensor(w1), Tensor(w2[:, :5]), "relu")
+    assert np.abs(got - np.maximum(x @ w1, 0.0) @ w2).max() < 1e-12
+    with pytest.raises(DimensionError):  # a hidden width of 6 meets 5 rows of W2
+        dense_ffn_forward(Tensor(x), Tensor(w1), Tensor(w2[:5]), "relu")
 
 
 def test_pattern_validation():
