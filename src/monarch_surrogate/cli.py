@@ -90,7 +90,7 @@ def _emit(args, rep: dict) -> None:
 
 
 def cmd_verify(args) -> int:
-    vcfg = verification.VerifyConfig(select=args.select or None,
+    vcfg = verification.VerifyConfig(select=args.select,
                                      **(verification.QUICK if args.quick else {}))
     checks = verification.run_all(vcfg)
     rep = report_mod.new_report({"quick": args.quick})

@@ -4,7 +4,8 @@ Each check evaluates both sides of an identity through independent code
 paths (factored vs dense oracle, attention vs convolution, direct vs
 state-space) and records the worst absolute difference over seeded trials,
 folded by one `_worst`: a NaN in any trial fails the check, and a check asked
-to run no trial raises ConfigurationError.
+to run no trial raises ConfigurationError.  Each seed draws from its own
+generator; a check may evaluate all its seeds' trials in one vectorised pass.
 """
 
 from __future__ import annotations
@@ -77,15 +78,23 @@ class CheckResult:
 
 
 def _worst(trial, seeds: int, cases=(None,)):
-    """Elementwise worst of trial(rng, case) over each case and seeds 0..seeds-1.
+    """Elementwise worst of the error rows of trial(rngs, case) over each case.
 
-    np.max keeps a NaN, so a NaN trial fails its check; a check that ran no
-    trial would pass with nothing shown, so it is refused.
+    rngs is [default_rng(0), ..., default_rng(seeds - 1)], fresh for each case,
+    and the trial returns one error row per generator.  np.max keeps a NaN, so
+    a NaN trial fails its check; a check that ran no trial would pass with
+    nothing shown, so it is refused.
     """
-    errors = [trial(np.random.default_rng(seed), case) for case in cases for seed in range(seeds)]
-    if not errors:
+    if seeds < 1 or not cases:
         raise ConfigurationError(f"a check needs a trial, got {seeds} seeds for {len(cases)} cases")
-    return np.max(np.asarray(errors, dtype=float), axis=0)
+    errors = [np.asarray(trial([np.random.default_rng(s) for s in range(seeds)], case), dtype=float)
+              for case in cases]
+    return np.max(np.concatenate(errors), axis=0)
+
+
+def _each(trial):
+    """The trial of one generator, run on each generator in turn."""
+    return lambda rngs, case: [trial(rng, case) for rng in rngs]
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +107,7 @@ def check_monarch_oracle(sizes=(4, 16, 64, 256), seeds: int = 100) -> CheckResul
         x = Tensor(rng.standard_normal((n, 3)))
         return np.abs(monarch_apply(m, x, "left").data - monarch_to_dense(m) @ x.data).max()
 
-    return CheckResult("monarch_oracle", _worst(trial, seeds, sizes), THRESH_ORACLE, seeds)
+    return CheckResult("monarch_oracle", _worst(_each(trial), seeds, sizes), THRESH_ORACLE, seeds)
 
 
 def check_parameter_law() -> CheckResult:
@@ -107,7 +116,7 @@ def check_parameter_law() -> CheckResult:
     def trial(rng, n):  # the count does not depend on the drawn values
         return abs(monarch_new(n, rng).param_count - 2 * round(n**1.5))
 
-    return CheckResult("parameter_law", _worst(trial, 1, sizes), 0.0, len(sizes))
+    return CheckResult("parameter_law", _worst(_each(trial), 1, sizes), 0.0, len(sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -116,20 +125,32 @@ def check_parameter_law() -> CheckResult:
 _D_IN, _D_OUT = 6, 5  # input and per-head output widths of both theorem checks
 
 
-def check_theorem_diagonal(n: int, lam: int, heads: int, seeds: int = 100) -> CheckResult:
+def _theorem_trials(kind: str, n: int, lam: int, heads: int, rngs):
+    """Every trial's patterns, head weights, input and patterned MHSA output,
+    stacked on a leading trial axis.
+
+    Each generator draws in the order of one trial: each head's pattern, then
+    each head's W, then x.
+    """
     if lam > n:
         raise ConfigurationError(f"lambda={lam} exceeds sequence length {n}")
+    if heads < 1:
+        raise ConfigurationError(f"a theorem check needs heads >= 1, got {heads}")
+    patterns = [random_pattern(kind, n, lam, rngs) for _ in range(heads)]
+    w = [np.stack([r.standard_normal((_D_IN, _D_OUT)) for r in rngs]) for _ in range(heads)]
+    x = np.stack([r.standard_normal((n, _D_IN)) for r in rngs])
+    attn = patterned_mhsa_forward(x, [pattern_matrix(p) for p in patterns], w)
+    return patterns, w, x, attn
 
-    def trial(rng, _):  # an even lam fails in AttentionPattern
-        patterns = [random_pattern("diagonal", n, lam, rng) for _ in range(heads)]
-        w = [rng.standard_normal((_D_IN, _D_OUT)) for _ in range(heads)]
-        x = rng.standard_normal((n, _D_IN))
-        attn = patterned_mhsa_forward(x, [pattern_matrix(p) for p in patterns], w)
+
+def check_theorem_diagonal(n: int, lam: int, heads: int, seeds: int = 100) -> CheckResult:
+    def trial(rngs, _):  # an even lam fails in AttentionPattern
+        patterns, w, x, attn = _theorem_trials("diagonal", n, lam, heads, rngs)
         kernels = [
-            {int(delta): f * wh for delta, f in zip(p.offsets, p.weights)}
+            {int(delta): f[:, None, None] * wh for delta, f in zip(p.offsets, p.weights.T)}
             for p, wh in zip(patterns, w)
         ]
-        return np.abs(attn - sum_of_convs_forward(x, kernels)).max()
+        return np.abs(attn - sum_of_convs_forward(x, kernels)).max(axis=(1, 2))
 
     worst = _worst(trial, seeds)
     return CheckResult(f"theorem_diagonal_n{n}_lam{lam}_h{heads}", worst, THRESH_THEOREM, seeds)
@@ -137,16 +158,12 @@ def check_theorem_diagonal(n: int, lam: int, heads: int, seeds: int = 100) -> Ch
 
 def check_theorem_vertical(n: int, lam: int, heads: int, seeds: int = 100) -> tuple[CheckResult, CheckResult]:
     """Equality against the fixed-tap form, plus the all-rows-identical consequence."""
-    if lam > n:
-        raise ConfigurationError(f"lambda={lam} exceeds sequence length {n}")
 
-    def trial(rng, _):
-        patterns = [random_pattern("vertical", n, lam, rng) for _ in range(heads)]
-        w = [rng.standard_normal((_D_IN, _D_OUT)) for _ in range(heads)]
-        x = rng.standard_normal((n, _D_IN))
-        attn = patterned_mhsa_forward(x, [pattern_matrix(p) for p in patterns], w)
+    def trial(rngs, _):
+        patterns, w, x, attn = _theorem_trials("vertical", n, lam, heads, rngs)
         tap = sum(fixed_tap_aggregation(x, p, [wh]) for p, wh in zip(patterns, w))
-        return np.abs(attn - tap).max(), np.abs(attn - attn[0]).max()
+        return np.stack([np.abs(attn - tap).max(axis=(1, 2)),
+                         np.abs(attn - attn[:, :1]).max(axis=(1, 2))], axis=1)
 
     worst, worst_rows = _worst(trial, seeds)
     tag = f"n{n}_lam{lam}_h{heads}"
@@ -210,10 +227,10 @@ def check_expressiveness(c: ExpressivenessConstruction, seeds: int = 1000) -> Ch
     m1 = monarch_from_dense_factors(c.n, c.l1, c.r1)
     m2 = monarch_from_dense_factors(c.n, c.l2, c.r2)
 
-    def trial(rng, _):
-        x = Tensor(rng.uniform(-2.0, 2.0, (c.n, 1)))
-        y = surrogate_mix(x, x, x, m1, m2).data[:, 0]
-        return abs(y[c.k] - x.data[c.k, 0] * x.data[c.source_index, 0] ** 2)
+    def trial(rngs, _):  # trial t's input is column t, and the mix keeps columns apart
+        x = Tensor(np.concatenate([r.uniform(-2.0, 2.0, (c.n, 1)) for r in rngs], axis=1))
+        y = surrogate_mix(x, x, x, m1, m2).data
+        return np.abs(y[c.k] - x.data[c.k] * x.data[c.source_index] ** 2)
 
     worst = _worst(trial, seeds)
     return CheckResult(f"expressiveness_{c.mode}_n{c.n}_k{c.k}", worst, THRESH_EXACT, seeds)
@@ -252,7 +269,7 @@ def check_lti_decomposition(n: int = 16, seeds: int = 100) -> CheckResult:
         moved = np.abs(_simulate_memoryless_states(shuffled)[-1] - states[-1]).max()
         return np.maximum(np.abs(direct - ltipath).max(), moved)
 
-    return CheckResult("lti_decomposition", _worst(trial, seeds), THRESH_ORACLE, seeds)
+    return CheckResult("lti_decomposition", _worst(_each(trial), seeds), THRESH_ORACLE, seeds)
 
 
 def _simulate_memoryless_states(v: np.ndarray) -> np.ndarray:
@@ -303,7 +320,7 @@ def check_sab_oracle(sizes=((4, 4), (16, 8), (64, 16)), seeds: int = 50) -> Chec
         return np.abs(surrogate_attention_forward(Tensor(x), params).data
                       - _dense_sab_oracle(x, params)).max()
 
-    return CheckResult("sab_oracle", _worst(trial, seeds, sizes), THRESH_BLOCK_ORACLE, seeds)
+    return CheckResult("sab_oracle", _worst(_each(trial), seeds, sizes), THRESH_BLOCK_ORACLE, seeds)
 
 
 def check_sfb_oracle(sizes=((4, 4), (16, 8), (64, 16)), seeds: int = 50) -> CheckResult:
@@ -313,7 +330,7 @@ def check_sfb_oracle(sizes=((4, 4), (16, 8), (64, 16)), seeds: int = 50) -> Chec
         return np.abs(surrogate_ffn_forward(Tensor(x), params).data
                       - _dense_sfb_oracle(x, params)).max()
 
-    return CheckResult("sfb_oracle", _worst(trial, seeds, sizes), THRESH_BLOCK_ORACLE, seeds)
+    return CheckResult("sfb_oracle", _worst(_each(trial), seeds, sizes), THRESH_BLOCK_ORACLE, seeds)
 
 
 # ---------------------------------------------------------------------------

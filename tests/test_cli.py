@@ -284,6 +284,14 @@ def test_cli_bad_inputs_exit_2(monkeypatch, tmp_path):
     assert main(["train", "sine", "--epochs", "1"]) == 2
 
 
+def test_cli_verify_select_with_no_name_exits_2_with_one_line(capsys):
+    # an empty --select matches no check; it must not run the whole suite
+    assert main(["verify", "--quick", "--select"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: no check name contains any of []"]
+
+
 def test_cli_verify_with_no_gradient_probe_exits_2_with_one_line(monkeypatch, capsys):
     monkeypatch.setitem(verification.QUICK, "gradient_probes", 0)
     assert main(["verify", "--quick", "--select", "layer_gradients"]) == 2

@@ -137,3 +137,47 @@ def test_fixed_tap_rows_identical():
     with pytest.raises(ConfigurationError):
         diag = random_pattern("diagonal", 8, 3, rng)
         fixed_tap_aggregation(x, diag, [np.zeros((4, 2))])
+
+
+@pytest.mark.parametrize("kind, lam", [("diagonal", 3), ("vertical", 2), ("vertical", 5)])
+def test_stacked_reference_functions_equal_their_list_form(kind, lam):
+    n, trials = 8, 4
+    stacked = random_pattern(kind, n, lam, [np.random.default_rng(s) for s in range(trials)])
+    singles = [random_pattern(kind, n, lam, np.random.default_rng(s)) for s in range(trials)]
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((trials, n, 3))
+    w = rng.standard_normal((trials, 3, 2))
+    a = pattern_matrix(stacked)
+    assert a.shape == (trials, n, n)
+    mhsa = patterned_mhsa_forward(x, [a, a], [w, 2.0 * w])
+    conv = sum_of_convs_forward(x, [{-1: w, 1: 2.0 * w}, {0: w}])
+    for t, p in enumerate(singles):
+        assert np.array_equal(stacked.weights[t], p.weights)
+        assert np.array_equal(a[t], pattern_matrix(p))
+        assert np.array_equal(mhsa[t], patterned_mhsa_forward(x[t], [a[t], a[t]], [w[t], 2.0 * w[t]]))
+        assert np.array_equal(conv[t], sum_of_convs_forward(x[t], [{-1: w[t], 1: 2.0 * w[t]}, {0: w[t]}]))
+        if kind == "vertical":
+            assert np.array_equal(stacked.columns[t], p.columns)
+            tap = fixed_tap_aggregation(x, stacked, [w])
+            assert np.array_equal(tap[t], fixed_tap_aggregation(x[t], p, [w[t]]))
+
+
+def test_stacked_pattern_validation_sees_each_trial():
+    good = np.full((3, 2), 0.5)
+    cols = np.array([[0, 1], [2, 5], [3, 7]])
+    AttentionPattern(kind="vertical", n=8, lam=2, weights=good, columns=cols)
+    bad_cols = cols.copy()
+    bad_cols[1] = [4, 4]  # duplicate columns in one trial only
+    with pytest.raises(ConfigurationError, match="distinct"):
+        AttentionPattern(kind="vertical", n=8, lam=2, weights=good, columns=bad_cols)
+    bad_cols[1] = [4, 8]  # out of range in one trial only
+    with pytest.raises(ConfigurationError, match="out of range"):
+        AttentionPattern(kind="vertical", n=8, lam=2, weights=good, columns=bad_cols)
+    bad_w = good.copy()
+    bad_w[2] = [0.5, 0.6]  # one trial's weights do not sum to 1
+    with pytest.raises(ConfigurationError, match="sum to 1"):
+        AttentionPattern(kind="vertical", n=8, lam=2, weights=bad_w, columns=cols)
+    with pytest.raises(ConfigurationError):  # one column row per weight row
+        AttentionPattern(kind="vertical", n=8, lam=2, weights=good, columns=cols[:2])
+    with pytest.raises(ConfigurationError):  # at most one leading trial axis
+        AttentionPattern(kind="diagonal", n=8, lam=1, weights=np.ones((2, 2, 1)))

@@ -6,6 +6,14 @@ import pytest
 from monarch_surrogate import gradcheck as G
 from monarch_surrogate import verification as V
 from monarch_surrogate.errors import ConfigurationError
+from monarch_surrogate.reference import (
+    fixed_tap_aggregation,
+    pattern_matrix,
+    patterned_mhsa_forward,
+    random_pattern,
+    sum_of_convs_forward,
+)
+from monarch_surrogate.structured import monarch_from_dense_factors
 from monarch_surrogate.tensor import Tensor
 
 
@@ -149,7 +157,24 @@ def _nan_projection(f):
     return lambda *args: tuple([Tensor(t.data * np.nan) for t in ts] for ts in f(*args))
 
 
+def _nan_column(f, t=1):  # a batched expressiveness trial t is column t
+    def poisoned(*args):
+        out = f(*args).data.copy()
+        out[:, t] = np.nan
+        return Tensor(out)
+    return poisoned
+
+
+def _nan_slice(f, t=1):  # a batched theorem trial t is slice t
+    def poisoned(*args):
+        out = f(*args).copy()
+        out[t] = np.nan
+        return out
+    return poisoned
+
+
 # a fold with max() would drop NaN: max(0.0, nan) is 0.0, and the check would pass
+# a batched check shares one evaluation among its seeds: a NaN in one seed must still fail it
 @pytest.mark.parametrize(
     "module, name, poison, check",
     [
@@ -167,11 +192,82 @@ def _nan_projection(f):
         (V, "fixed_tap_aggregation", _nan_array,
          lambda: V.check_theorem_vertical(8, 2, 2, seeds=2)[0]),
         (G, "analytic_grad", _nan_grads, lambda: V.check_layer_gradients(probes=4)),
+        (V, "surrogate_mix", _nan_column,
+         lambda: V.check_expressiveness(V.build_expressiveness(4, "short_term", 1), seeds=3)),
+        (V, "sum_of_convs_forward", _nan_slice, lambda: V.check_theorem_diagonal(8, 3, 2, seeds=3)),
+        (V, "fixed_tap_aggregation", _nan_slice,
+         lambda: V.check_theorem_vertical(8, 2, 2, seeds=3)[0]),
     ],
     ids=["monarch_oracle", "sab_oracle", "sfb_oracle", "expressiveness", "lti",
-         "lti-projection", "theorem_diagonal", "theorem_vertical", "gradcheck"],
+         "lti-projection", "theorem_diagonal", "theorem_vertical", "gradcheck",
+         "expressiveness-one-seed", "theorem_diagonal-one-seed", "theorem_vertical-one-seed"],
 )
 def test_a_nan_trial_fails_its_check(monkeypatch, module, name, poison, check):
     monkeypatch.setattr(module, name, poison(getattr(module, name)))
     res = check()
     assert np.isnan(res.max_abs_diff) and not res.passed
+
+
+@pytest.mark.parametrize("check", [
+    lambda: V.check_theorem_diagonal(8, 3, 0, seeds=2),
+    lambda: V.check_theorem_vertical(8, 2, 0, seeds=2),
+    lambda: V.check_theorem_diagonal(8, 3, -1, seeds=2),
+], ids=["diagonal", "vertical", "diagonal-negative"])
+def test_a_theorem_check_with_no_head_raises(check):
+    with pytest.raises(ConfigurationError, match="heads >= 1"):
+        check()
+
+
+def _trial_rows(monkeypatch, check):
+    """Run check, returning the error rows its trial handed to the fold, per case."""
+    rows, fold = [], V._worst
+
+    def spy(trial, seeds, cases=(None,)):
+        def recorded(rngs, case):
+            rows.append(np.asarray(trial(rngs, case), dtype=float))
+            return rows[-1]
+        return fold(recorded, seeds, cases)
+
+    with monkeypatch.context() as m:
+        m.setattr(V, "_worst", spy)
+        check()
+    return rows
+
+
+def _one_theorem_trial(kind, n, lam, heads, seed):
+    """One seed's theorem trial, drawn and evaluated on its own with the list-form references."""
+    rng = np.random.default_rng(seed)
+    patterns = [random_pattern(kind, n, lam, rng) for _ in range(heads)]
+    w = [rng.standard_normal((V._D_IN, V._D_OUT)) for _ in range(heads)]
+    x = rng.standard_normal((n, V._D_IN))
+    attn = patterned_mhsa_forward(x, [pattern_matrix(p) for p in patterns], w)
+    if kind == "diagonal":
+        kernels = [{int(d): f * wh for d, f in zip(p.offsets, p.weights)}
+                   for p, wh in zip(patterns, w)]
+        return [np.abs(attn - sum_of_convs_forward(x, kernels)).max()]
+    tap = sum(fixed_tap_aggregation(x, p, [wh]) for p, wh in zip(patterns, w))
+    return [np.abs(attn - tap).max(), np.abs(attn - attn[0]).max()]
+
+
+def test_the_batched_theorem_trials_are_the_per_seed_trials(monkeypatch):
+    seeds = 5
+    (diag,) = _trial_rows(monkeypatch, lambda: V.check_theorem_diagonal(8, 3, 2, seeds=seeds))
+    (vert,) = _trial_rows(monkeypatch, lambda: V.check_theorem_vertical(8, 2, 2, seeds=seeds))
+    assert diag.shape == (seeds,) and vert.shape == (seeds, 2)
+    for s in range(seeds):
+        assert diag[s] == _one_theorem_trial("diagonal", 8, 3, 2, s)[0]
+        assert np.abs(vert[s] - _one_theorem_trial("vertical", 8, 2, 2, s)).max() <= 1e-15
+
+
+def test_the_batched_expressiveness_trials_are_the_per_seed_trials(monkeypatch):
+    seeds = 5
+    c = V.build_expressiveness(16, "short_term", 15)
+    (rows,) = _trial_rows(monkeypatch, lambda: V.check_expressiveness(c, seeds=seeds))
+    m1 = monarch_from_dense_factors(c.n, c.l1, c.r1)
+    m2 = monarch_from_dense_factors(c.n, c.l2, c.r2)
+    assert rows.shape == (seeds,)
+    for s in range(seeds):
+        x = Tensor(np.random.default_rng(s).uniform(-2.0, 2.0, (c.n, 1)))
+        y = V.surrogate_mix(x, x, x, m1, m2).data[:, 0]
+        one = abs(y[c.k] - x.data[c.k, 0] * x.data[c.source_index, 0] ** 2)
+        assert abs(rows[s] - one) <= 1e-15
