@@ -207,8 +207,10 @@ def analytic_scaling() -> dict:
     }
 
 
-def measure_wallclock(sizes=(1024, 4096, 16384), d: int = 64, repeats: int = 5) -> dict:
+def measure_wallclock() -> dict:
     """Median wall-clock seconds of a factored apply at each size, plus slope.
+
+    Each size n is a (n, 64) left apply, timed 5 times.
 
     The sizes are timed in interleaved rounds, so a change in machine load
     during the run reaches every size alike instead of skewing their ratio.
@@ -216,6 +218,7 @@ def measure_wallclock(sizes=(1024, 4096, 16384), d: int = 64, repeats: int = 5) 
     applies after a switch of size, and in a fresh process, run several times
     slower.
     """
+    sizes, d, repeats = (1024, 4096, 16384), 64, 5
     rng = np.random.default_rng(0)
     cases = [(monarch_new(n, rng), Tensor(rng.standard_normal((n, d))))
              for n in sizes]

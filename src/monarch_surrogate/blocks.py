@@ -21,6 +21,7 @@ sizes) is read off them once, at construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,17 +92,17 @@ class SurrogateAttentionParams:
     def create(
         cls, n_seq: int, d_in: int, heads: int, rng: np.random.Generator
     ) -> "SurrogateAttentionParams":
-        if d_in % heads != 0:
-            raise ConfigurationError(f"d_in={d_in} not divisible by heads={heads}")
+        if heads < 1 or d_in % heads != 0:
+            raise ConfigurationError(f"need heads >= 1 dividing d_in={d_in}, got heads={heads}")
         d_head = pad_to_square(d_in // heads)
         n_pad = pad_to_square(n_seq)
         m1 = monarch_new(n_pad, rng=rng)
         m2 = monarch_new(n_pad, rng=rng)
+        b = math.isqrt(d_head)
 
-        def stack() -> MonarchMatrix:  # head by head, each drawing L then R
-            ms = [monarch_new(d_head, rng=rng) for _ in range(heads)]
-            grouped = lambda fs: Tensor(np.stack([f.data for f in fs]), requires_grad=True)
-            return MonarchMatrix(grouped([m.left for m in ms]), grouped([m.right for m in ms]))
+        def stack() -> MonarchMatrix:  # one draw, in the order of monarch_new's L then R per head
+            factors = rng.normal(0.0, d_head**-0.25, (heads, 2, b, b, b))
+            return MonarchMatrix(*(Tensor(factors[:, i].copy(), requires_grad=True) for i in (0, 1)))
 
         q_stack, k_stack, v_stack = stack(), stack(), stack()
         # one draw of heads * d_head rows fills the rows the per-head draws would

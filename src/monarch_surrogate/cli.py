@@ -1,10 +1,11 @@
 """Command-line interface: verify checks, benchmark costs, train on sine data.
 
-Each command takes only the flags it reads: verify --out --format --select
---quick; bench --out --format --config; train --out --format --config --seed
---variant --epochs; report show --format.  Only train reads a seed: --seed,
-else the MSB_SEED environment variable, else 0.  Exit codes: 0 success, 1 a
-check or run failed, 2 usage or configuration error.
+Each command takes only the flags it reads: verify --out --select --quick;
+bench --out --config; train --out --config --seed --variant --epochs; report
+show --format.  Every setting has one source: --out writes JSON, and report
+show --format csv prints its flat CSV; the seed is --seed (default 0) and the
+epoch count --epochs, neither of which a config file sets.  Exit codes: 0
+success, 1 a check or run failed, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 
 from . import bench, report as report_mod, verification
@@ -22,25 +22,12 @@ from .errors import ConfigurationError, ContractError, DimensionError
 from .training import TrainConfig, train_forecaster
 
 
-def _resolve_seed(args) -> int:
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("MSB_SEED", "0")
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigurationError(f"MSB_SEED must be an integer, got {env!r}")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
 # the keys each --config section may set, with defaults that give their types;
-# seed and variant come from the command line only
+# seed, variant and epochs come from the command line only
 CONFIG_DEFAULTS = {
     "model": dataclasses.asdict(bench.ModelConfig()),
     "train": {k: v for k, v in dataclasses.asdict(TrainConfig()).items()
-              if k not in ("seed", "variant")},
+              if k not in ("seed", "variant", "epochs")},
     "data": {**{k: v for k, v in dataclasses.asdict(SineSpec()).items() if k != "seed"},
              "l_in": 48, "l_out": 24},
 }
@@ -83,10 +70,7 @@ def _load_config(args, sections: tuple[str, ...]) -> dict:
 
 def _emit(args, rep: dict) -> None:
     if args.out:
-        if args.format == "csv":
-            report_mod.write_report_csv(args.out, rep)
-        else:
-            report_mod.write_report(args.out, rep)
+        report_mod.write_report(args.out, rep)
 
 
 def cmd_verify(args) -> int:
@@ -141,18 +125,18 @@ def cmd_bench(args) -> int:
 
 
 def cmd_train(args) -> int:
-    seed = _resolve_seed(args)
+    if args.seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {args.seed}")
     overrides = _load_config(args, ("train", "data"))
     data_cfg = {**CONFIG_DEFAULTS["data"], **overrides.get("data", {})}
     l_in, l_out = data_cfg.pop("l_in"), data_cfg.pop("l_out")
-    series = SineSpec(seed=seed, **data_cfg).generate()
+    series = SineSpec(seed=args.seed, **data_cfg).generate()
     dataset = build_dataset(series, l_in, l_out)
-    tcfg = TrainConfig(seed=seed, variant=args.variant, **overrides.get("train", {}))
-    if args.epochs is not None:
-        tcfg.epochs = args.epochs
+    tcfg = TrainConfig(seed=args.seed, variant=args.variant, epochs=args.epochs,
+                       **overrides.get("train", {}))
     result = train_forecaster(dataset, tcfg)
     rep = report_mod.new_report(
-        {"seed": seed, "data": {**data_cfg, "l_in": l_in, "l_out": l_out},
+        {"seed": args.seed, "data": {**data_cfg, "l_in": l_in, "l_out": l_out},
          "train": tcfg.__dict__}
     )
     rep["training"] = dataclasses.asdict(result)
@@ -177,8 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="msb", description="Monarch surrogate blocks: verify, benchmark, train."
     )
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--out", default=None, help="write a run report to this path")
-    output.add_argument("--format", choices=("json", "csv"), default="json")
+    output.add_argument("--out", default=None, help="write a JSON run report to this path")
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", default=None, help="JSON file with overrides")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -195,16 +178,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[output, config], help="train a forecaster")
     p.add_argument("task", choices=("sine",))
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (overrides MSB_SEED)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed, >= 0")
     p.add_argument("--variant", choices=("surrogate", "dense"), default="surrogate")
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("report", help="inspect a saved run report")
     p.add_argument("action", choices=("show",))
     p.add_argument("path")
     p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="print the report as JSON or as the flat CSV --out writes")
+                   help="print the report as JSON or as flat key,value CSV")
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -31,13 +31,11 @@ class SineSpec:
         return z
 
 
-def chronological_split(series: np.ndarray, fractions=(0.6, 0.2, 0.2)) -> tuple:
-    """Cut the series into train/val/test segments in time order."""
-    if abs(sum(fractions) - 1.0) > 1e-12:
-        raise ConfigurationError(f"split fractions must sum to 1, got {fractions}")
+def chronological_split(series: np.ndarray) -> tuple:
+    """Cut the series into 60/20/20 train/val/test segments in time order."""
     n = len(series)
-    n_train = int(n * fractions[0])
-    n_val = int(n * fractions[1])
+    n_train = int(n * 0.6)
+    n_val = int(n * 0.2)
     return series[:n_train], series[n_train : n_train + n_val], series[n_train + n_val :]
 
 

@@ -26,8 +26,8 @@ class DenseMHSAParams:
 
     @classmethod
     def create(cls, d_in: int, heads: int, rng: np.random.Generator) -> "DenseMHSAParams":
-        if d_in % heads != 0:
-            raise ConfigurationError(f"d_in={d_in} not divisible by heads={heads}")
+        if heads < 1 or d_in % heads != 0:
+            raise ConfigurationError(f"need heads >= 1 dividing d_in={d_in}, got heads={heads}")
         d_k = d_in // heads
 
         # every weight has d_in rows; one draw of a stack fills the heads in

@@ -1,7 +1,8 @@
-"""Run-report assembly, validation, and serialization (JSON or flat CSV).
+"""Run-report assembly, validation, and serialization.
 
-Reports are strict JSON: a NaN or infinite value is written as null (an empty
-CSV cell), and a file holding a bare NaN or Infinity token is a ContractError.
+Reports are written as strict JSON: a NaN or infinite value is written as null,
+and a file holding a bare NaN or Infinity token is a ContractError.  A report
+read back can be printed as flat key,value CSV (null is an empty cell).
 """
 
 from __future__ import annotations
@@ -114,9 +115,3 @@ def report_csv(report: dict) -> str:
     writer.writerow(["key", "value"])
     writer.writerows(report_to_rows(report))
     return buf.getvalue()
-
-
-def write_report_csv(path, report: dict) -> None:
-    text = report_csv(report)  # validated before the file is touched
-    with open(path, "w", newline="") as fh:
-        fh.write(text)

@@ -261,7 +261,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _record(Tensor(a.data.reshape(shape)), lambda g: (g.reshape(a.shape),), a)
 
 
-def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    """Permute the axes; with none given, reverse them as ``.T`` does."""
-    inverse = None if axes is None else np.argsort(axes)
+def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
+    """Permute the axes as ``np.transpose(a, axes)`` does."""
+    inverse = np.argsort(axes)
     return _record(Tensor(a.data.transpose(axes)), lambda g: (g.transpose(inverse),), a)

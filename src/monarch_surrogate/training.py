@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -125,16 +126,17 @@ ADAM_CHUNK = 1 << 15
 class Adam:
     """Adam with bias correction over one flat float64 buffer of every parameter.
 
-    After `Adam(params)` each `p.data` is a view of `flat` and each
-    `p.grad_home` a view of `grads`; `m` and `v` share the layout.  Backward
-    puts each parameter's gradient in its `grad_home`, and `step` updates from
-    `grads` only.  Write into the views in place, never rebind them: they are
-    reused every step.
+    `lr` has no default: the caller's config (`TrainConfig.lr` for training)
+    is its one source.  After `Adam(params, lr)` each `p.data` is a view of
+    `flat` and each `p.grad_home` a view of `grads`; `m` and `v` share the
+    layout.  Backward puts each parameter's gradient in its `grad_home`, and
+    `step` updates from `grads` only.  Write into the views in place, never
+    rebind them: they are reused every step.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3):
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = params
         self.lr = lr
         self.t = 0
@@ -215,8 +217,9 @@ def _eval_mse_mae(params: ForecasterParams, xs: np.ndarray, ys: np.ndarray) -> t
 
 def train_forecaster(dataset: WindowedDataset, cfg: TrainConfig) -> TrainResult:
     """Minimize per-window MSE with Adam; keep the best-validation weights."""
-    if cfg.lr <= 0 or cfg.epochs < 1:
-        raise ConfigurationError(f"need lr > 0 and epochs >= 1, got lr={cfg.lr}, epochs={cfg.epochs}")
+    if not 0 < cfg.lr < math.inf or cfg.epochs < 1:  # a NaN lr fails both comparisons
+        raise ConfigurationError(f"need a finite lr > 0 and epochs >= 1, got lr={cfg.lr}, "
+                                 f"epochs={cfg.epochs}")
     rng = np.random.default_rng(cfg.seed)
     params = ForecasterParams.create(cfg.variant, dataset.l_in, dataset.l_out, cfg.d_model,
                                      cfg.heads, cfg.layers, cfg.d_ff, rng)

@@ -31,7 +31,7 @@ def _verdict(num: int, name: str, passed: bool, detail: str = "") -> None:
 
 def test_criterion_01_factored_apply_matches_dense_oracle():
     t0 = time.perf_counter()
-    res = V.check_monarch_oracle(sizes=(4, 16, 64, 256), seeds=100)
+    res = V.check_monarch_oracle(seeds=100)
     elapsed = time.perf_counter() - t0
     ok = res.passed and elapsed < 10.0
     _verdict(1, "monarch oracle", ok,
@@ -95,7 +95,7 @@ def test_criterion_05_expressiveness_identities():
 
 
 def test_criterion_06_lti_decomposition():
-    res = V.check_lti_decomposition(n=16, seeds=100)
+    res = V.check_lti_decomposition(seeds=100)
     _verdict(6, "LTI decomposition", res.passed,
              f"max_abs_diff={res.max_abs_diff:.2e} <= 1e-10, A=0 memoryless exact")
 
@@ -109,10 +109,12 @@ def test_criterion_07_gradients_match_finite_differences():
 def test_criterion_08_complexity_scaling():
     t0 = time.perf_counter()
     analytic = analytic_scaling()
-    wall = measure_wallclock(sizes=(1024, 4096, 16384), d=64, repeats=5)
+    wall = measure_wallclock()
     elapsed = time.perf_counter() - t0
     ok = (
-        abs(analytic["monarch_exponent"] - 1.5) < 1e-9
+        len(wall["median_seconds"]) == 3
+        and all(t > 0 for t in wall["median_seconds"])
+        and abs(analytic["monarch_exponent"] - 1.5) < 1e-9
         and abs(analytic["dense_exponent"] - 2.0) < 1e-9
         and 1.3 <= wall["exponent"] <= 1.8
         and elapsed < 120.0

@@ -11,7 +11,6 @@ from monarch_surrogate.bench import (
     count_params,
     efficiency_ratios,
     fit_scaling_exponent,
-    measure_wallclock,
     monarch_param_count,
 )
 from monarch_surrogate.errors import ConfigurationError
@@ -97,9 +96,3 @@ def test_analytic_scaling_slopes():
     s = analytic_scaling()
     assert abs(s["monarch_exponent"] - 1.5) < 1e-9
     assert abs(s["dense_exponent"] - 2.0) < 1e-9
-
-
-def test_wallclock_returns_positive_times():
-    w = measure_wallclock(sizes=(64, 256), d=4, repeats=2)
-    assert len(w["median_seconds"]) == 2
-    assert all(t > 0 for t in w["median_seconds"])

@@ -19,6 +19,7 @@ from monarch_surrogate.blocks import (
 )
 from monarch_surrogate.data import build_dataset
 from monarch_surrogate.errors import ConfigurationError, DimensionError
+from monarch_surrogate.reference import DenseMHSAParams
 from monarch_surrogate.structured import pad_to_square
 from monarch_surrogate.tensor import LAYER_NORM_EPS, Tensor, tape_scope
 from monarch_surrogate.training import DenseLayerParams, ForecasterParams
@@ -55,6 +56,18 @@ def test_attention_rejects_indivisible_heads():
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigurationError):
         SurrogateAttentionParams.create(16, 10, heads=3, rng=rng)
+
+
+@pytest.mark.parametrize("heads", [0, -1])
+@pytest.mark.parametrize("create", [
+    lambda heads, rng: SurrogateAttentionParams.create(16, 8, heads, rng),
+    lambda heads, rng: DenseMHSAParams.create(8, heads, rng),
+    lambda heads, rng: DenseLayerParams.create(8, heads, 16, rng),
+], ids=["surrogate", "dense-mhsa", "dense-layer"])
+def test_attention_with_no_head_raises(create, heads):
+    # 0 would divide by zero, and -1 would fail later with a misleading DimensionError
+    with pytest.raises(ConfigurationError, match="heads >= 1"):
+        create(heads, np.random.default_rng(0))
 
 
 def test_attention_rejects_mismatched_stacks():

@@ -26,7 +26,7 @@ def test_check_result_pass_fail():
 
 
 def test_monarch_oracle_quick():
-    assert V.check_monarch_oracle(sizes=(4, 16), seeds=5).passed
+    assert V.check_monarch_oracle(seeds=5).passed
 
 
 def test_theorem_checks_quick():
@@ -37,9 +37,9 @@ def test_theorem_checks_quick():
 
 def test_theorem_diagonal_rejects_even_lambda():
     with pytest.raises(ConfigurationError):
-        V.check_theorem_diagonal(8, 2, 1)
+        V.check_theorem_diagonal(8, 2, 1, seeds=1)
     with pytest.raises(ConfigurationError):
-        V.check_theorem_diagonal(4, 7, 1)
+        V.check_theorem_diagonal(4, 7, 1, seeds=1)
 
 
 def test_expressiveness_construction_structure():
@@ -83,14 +83,9 @@ def test_lti_decomposition_quick():
     assert V.check_lti_decomposition(seeds=5).passed
 
 
-def test_lti_requires_square_length():
-    with pytest.raises(ConfigurationError):
-        V.check_lti_decomposition(n=6, seeds=1)
-
-
 def test_block_oracles_quick():
-    assert V.check_sab_oracle(sizes=((4, 4),), seeds=3).passed
-    assert V.check_sfb_oracle(sizes=((4, 4),), seeds=3).passed
+    assert V.check_sab_oracle(seeds=3).passed
+    assert V.check_sfb_oracle(seeds=3).passed
 
 
 def test_layer_gradients_quick():
@@ -178,11 +173,11 @@ def _nan_slice(f, t=1):  # a batched theorem trial t is slice t
 @pytest.mark.parametrize(
     "module, name, poison, check",
     [
-        (V, "monarch_apply", _nan_output, lambda: V.check_monarch_oracle(sizes=(4,), seeds=2)),
+        (V, "monarch_apply", _nan_output, lambda: V.check_monarch_oracle(seeds=2)),
         (V, "surrogate_attention_forward", _nan_output,
-         lambda: V.check_sab_oracle(sizes=((4, 4),), seeds=2)),
+         lambda: V.check_sab_oracle(seeds=2)),
         (V, "surrogate_ffn_forward", _nan_output,
-         lambda: V.check_sfb_oracle(sizes=((4, 4),), seeds=2)),
+         lambda: V.check_sfb_oracle(seeds=2)),
         (V, "surrogate_mix", _nan_output,
          lambda: V.check_expressiveness(V.build_expressiveness(4, "short_term", 1), seeds=2)),
         (V, "surrogate_mix", _nan_output, lambda: V.check_lti_decomposition(seeds=2)),
