@@ -11,6 +11,7 @@ from monarch_surrogate.bench import (
     count_params,
     efficiency_ratios,
     fit_scaling_exponent,
+    measure_wallclock,
     monarch_param_count,
 )
 from monarch_surrogate.errors import ConfigurationError
@@ -96,3 +97,10 @@ def test_analytic_scaling_slopes():
     s = analytic_scaling()
     assert abs(s["monarch_exponent"] - 1.5) < 1e-9
     assert abs(s["dense_exponent"] - 2.0) < 1e-9
+
+
+def test_wallclock_returns_positive_times():
+    w = measure_wallclock()
+    assert w["sizes"] == [1024, 4096, 16384]
+    assert len(w["median_seconds"]) == 3
+    assert all(t > 0 for t in w["median_seconds"])
