@@ -1,11 +1,12 @@
 """Command-line interface: verify checks, benchmark costs, train on sine data.
 
 Each command takes only the flags it reads: verify --out --select --quick;
-bench --out --config; train --out --config --seed --variant --epochs; report
-show --format.  Every setting has one source: --out writes JSON, and report
-show --format csv prints its flat CSV; the seed is --seed (default 0) and the
-epoch count --epochs, neither of which a config file sets.  Exit codes: 0
-success, 1 a check or run failed, 2 usage or configuration error.
+bench --out --config (scaling builds no model and takes no --config); train
+--out --config --seed --variant --epochs; report show --format.  Every
+setting has one source: --out writes JSON, and report show --format csv
+prints its flat CSV; the seed is --seed (default 0) and the epoch count
+--epochs, neither of which a config file sets.  Exit codes: 0 success, 1 a
+check or run failed, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -22,14 +23,15 @@ from .errors import ConfigurationError, ContractError, DimensionError
 from .training import TrainConfig, train_forecaster
 
 
-# the keys each --config section may set, with defaults that give their types;
-# seed, variant and epochs come from the command line only
+# the keys that train's flags --seed, --variant and --epochs set, per section
+FLAG_KEYS = {"train": ("seed", "variant", "epochs"), "data": ("seed",)}
+# the keys each --config section may set, with defaults that give their types
 CONFIG_DEFAULTS = {
     "model": dataclasses.asdict(bench.ModelConfig()),
     "train": {k: v for k, v in dataclasses.asdict(TrainConfig()).items()
-              if k not in ("seed", "variant", "epochs")},
-    "data": {**{k: v for k, v in dataclasses.asdict(SineSpec()).items() if k != "seed"},
-             "l_in": 48, "l_out": 24},
+              if k not in FLAG_KEYS["train"]},
+    "data": {**{k: v for k, v in dataclasses.asdict(SineSpec()).items()
+                if k not in FLAG_KEYS["data"]}, "l_in": 48, "l_out": 24},
 }
 
 
@@ -54,6 +56,8 @@ def _load_config(args, sections: tuple[str, ...]) -> dict:
         if not isinstance(values, dict):
             raise ConfigurationError(f"config section {section!r} must be a JSON object")
         unknown = set(values) - set(defaults)
+        for key in sorted(unknown & set(FLAG_KEYS.get(section, ()))):
+            raise ConfigurationError(f"{section}.{key} is set by --{key}, not by --config")
         if unknown:
             raise ConfigurationError(
                 f"unknown {section} config keys: {sorted(unknown)}; allowed: {sorted(defaults)}")
@@ -77,7 +81,7 @@ def cmd_verify(args) -> int:
     vcfg = verification.VerifyConfig(select=args.select,
                                      **(verification.QUICK if args.quick else {}))
     checks = verification.run_all(vcfg)
-    rep = report_mod.new_report({"quick": args.quick})
+    rep = report_mod.new_report({"quick": args.quick, "select": args.select})
     rep["checks"] = [c.to_dict() for c in checks]
     failures = 0
     for c in checks:
@@ -91,9 +95,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.what == "scaling" and args.config:  # no model shapes a scaling run
+        raise ConfigurationError("bench scaling uses no model and reads no --config")
     overrides = _load_config(args, ("model",))
     cfg = bench.ModelConfig(**overrides.get("model", {}))
-    rep = report_mod.new_report({"model": cfg.__dict__})
+    rep = report_mod.new_report({} if args.what == "scaling" else {"model": cfg.__dict__})
     status = 0
     if args.what == "params":
         rep["params"] = {

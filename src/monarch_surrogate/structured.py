@@ -10,7 +10,8 @@ the operand.  The factored apply views its operand as a (g, b, b, d) stack,
 so P is a swap of the two grid axes and each factor is one batched matmul
 over every group and block; the whole apply is a single tape node with a
 hand-written backward, and the right apply is the left apply of the
-transpose.
+transpose.  x's gradient is the apply of the transpose too, through the
+same routine: only the two factor gradients are products of their own.
 
 Each end of an apply, operand and result, is laid out one of two ways: the
 Monarch axis down the columns, (n, d), as a left apply takes and returns
@@ -152,19 +153,17 @@ def monarch_new(n: int, rng: np.random.Generator) -> MonarchMatrix:
 
 
 def monarch_from_dense_factors(n: int, l_dense: np.ndarray, r_dense: np.ndarray) -> MonarchMatrix:
-    """Build from dense block-diagonal L and R matrices (off-block entries must be zero)."""
+    """Build from dense L and R that equal their diagonal blocks laid out (NaN matching NaN)."""
     b = permutation_spec(n).b
+    stacks = []
     for name, mat in (("L", l_dense), ("R", r_dense)):
         if mat.shape != (n, n):
             raise DimensionError(f"{name} must be {n}x{n}, got {mat.shape}")
-        mask = np.ones((n, n), dtype=bool)
-        for j in range(b):
-            mask[j * b : (j + 1) * b, j * b : (j + 1) * b] = False
-        if np.any(mat[mask] != 0.0):
+        blocks = np.stack([mat[j * b : (j + 1) * b, j * b : (j + 1) * b] for j in range(b)])
+        if not np.array_equal(block_diag_dense(blocks), mat, equal_nan=True):
             raise DimensionError(f"{name} has nonzeros outside its diagonal blocks")
-    left = np.stack([l_dense[j * b : (j + 1) * b, j * b : (j + 1) * b] for j in range(b)])
-    right = np.stack([r_dense[j * b : (j + 1) * b, j * b : (j + 1) * b] for j in range(b)])
-    return MonarchMatrix(left=Tensor(left), right=Tensor(right))
+        stacks.append(blocks)
+    return MonarchMatrix(left=Tensor(stacks[0]), right=Tensor(stacks[1]))
 
 
 def block_diag_dense(blocks: np.ndarray) -> np.ndarray:
@@ -211,22 +210,27 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def _stack(a: np.ndarray, g: int, along_rows: bool) -> np.ndarray:
-    """The (g, k, d) columns a Monarch's g groups act on, as a view of a.
+def _chain(a: np.ndarray, first: np.ndarray, second: np.ndarray, g: int,
+           in_rows: bool, out_rows: bool, keep: int):
+    """P.second.P.first.P on the g column chunks of a, (k, g*d) or (d, g*k) if in_rows.
 
-    Monarch axis down the columns (along_rows False): a is (k, g*d) and
-    group i takes column chunk i.  Along the rows (True): a is (d, g*k) and
-    group i takes column chunk i, transposed.
+    first, (b, b, ceil(k/b)) blocks, meets only the grid rows a fills; second,
+    (b, m, b), makes only m.  Products go straight into grid-transposed slots,
+    and the leading `keep` rows are laid out as out_rows says (a view if they
+    can be).  Returns (grid, middle product, result).
     """
     r, c = a.shape
-    s = a.reshape(r, g, c // g)
-    return s.transpose(1, 2, 0) if along_rows else s.transpose(1, 0, 2)
-
-
-def _unstack(s: np.ndarray, along_rows: bool) -> np.ndarray:
-    """Inverse of `_stack`: (g, k, d) group columns back to a 2-D array."""
-    t = s.transpose(2, 0, 1) if along_rows else s.transpose(1, 0, 2)
-    return t.reshape(t.shape[0], -1)
+    b = first.shape[-2]
+    chunks = a.reshape(r, g, c // g)
+    z = _to_grid(chunks.transpose(1, 2, 0) if in_rows else chunks.transpose(1, 0, 2), b)
+    d = z.shape[-1]
+    u = np.empty((g, b, b, d))
+    np.matmul(first, z, out=u.transpose(0, 2, 1, 3))
+    v = np.empty((g, second.shape[-2], b, d))
+    np.matmul(second, u, out=v.transpose(0, 2, 1, 3))
+    y = v.reshape(g, -1, d)[:, :keep]
+    y = y.transpose(2, 0, 1) if out_rows else y.transpose(1, 0, 2)
+    return z, u, y.reshape(y.shape[0], -1)
 
 
 def monarch_apply(m: MonarchMatrix, x: Tensor, side: str, size: int | None = None, *,
@@ -243,10 +247,7 @@ def monarch_apply(m: MonarchMatrix, x: Tensor, side: str, size: int | None = Non
     (d, g*size) right.  t_in says x is given in the other side's layout, each
     chunk transposed: (k, g*d) for a right apply, (d, g*k) for a left one;
     t_out returns the result so, and x's gradient keeps x's layout.  Every
-    case runs the same code on the (g, b, b, d) stack of columns: the first
-    factor multiplies only the ceil(k/b) grid rows x can fill, the second
-    computes only the ceil(size/b) grid rows kept, and each product is
-    written straight into its grid-transposed slot.
+    case, and x's gradient, runs the one factor chain `_chain`.
     """
     if side not in ("left", "right"):
         raise ConfigurationError(f"side must be 'left' or 'right', got {side!r}")
@@ -256,8 +257,8 @@ def monarch_apply(m: MonarchMatrix, x: Tensor, side: str, size: int | None = Non
     n, b, g = m.n, m.b, m.groups
     if x.data.ndim != 2 or x.shape[1] % g:
         raise DimensionError(f"{side} apply: x has shape {x.shape}, not {g} equal column chunks")
-    cols = _stack(x.data, g, in_rows)  # (g, k, d): the columns each group acts on
-    _, k, d = cols.shape
+    r, c = x.shape
+    k, d = (c // g, r) if in_rows else (r, c // g)  # each group's rows and columns
     if not 1 <= k <= n:
         raise DimensionError(f"{side} apply: x has shape {x.shape}, Monarch size is {n}")
     size = n if size is None else size
@@ -269,25 +270,17 @@ def monarch_apply(m: MonarchMatrix, x: Tensor, side: str, size: int | None = Non
     # an ungrouped (b, b, b) stack broadcasts over the one group
     f = orient(first.data)[..., :kb]  # meets only the grid rows x can fill
     s = orient(second.data)[..., :mb, :]  # makes only the grid rows kept
-    z = _to_grid(cols, b)  # (g, b, kb, d)
-    u = np.empty((g, b, b, d))
-    np.matmul(f, z, out=u.transpose(0, 2, 1, 3))
-    v = np.empty((g, mb, b, d))
-    np.matmul(s, u, out=v.transpose(0, 2, 1, 3))
-    out = Tensor(np.ascontiguousarray(_unstack(v.reshape(g, mb * b, d)[:, :size], out_rows)))
+    z, u, y = _chain(x.data, f, s, g, in_rows, out_rows, size)
+    out = Tensor(np.ascontiguousarray(y))
 
     def bwd(grad):
-        gv = _to_grid(_stack(grad, g, out_rows), b)  # (g, b, mb, d)
+        # x's gradient is the apply of the transpose, P.f^T.P.s^T.P, back to x's layout
+        gv, gu, gx = _chain(grad, _t(s), _t(f), g, out_rows, in_rows, k)
         ds = np.zeros((g, b, b, b))
         np.matmul(gv, _t(u), out=ds[..., :mb, :])
-        gu = np.empty((g, b, b, d))
-        np.matmul(_t(s), gv, out=gu.transpose(0, 2, 1, 3))
         df = np.zeros((g, b, b, b))
         np.matmul(gu, _t(z), out=df[..., :kb])
-        gx = np.empty((g, kb, b, d))
-        np.matmul(_t(f), gu, out=gx.transpose(0, 2, 1, 3))
-        return (_unstack(gx.reshape(g, kb * b, d)[:, :k], in_rows),
-                orient(df).reshape(first.shape), orient(ds).reshape(second.shape))
+        return gx, orient(df).reshape(first.shape), orient(ds).reshape(second.shape)
 
     flop_meter.add(g * monarch_apply_muladds(n, d, k, size))
     return T._record(out, bwd, x, first, second)

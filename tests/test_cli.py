@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monarch_surrogate import verification
+from monarch_surrogate import bench, verification
 from monarch_surrogate.cli import build_parser, main
 from monarch_surrogate.errors import ContractError
 from monarch_surrogate.report import (
@@ -85,6 +85,9 @@ def test_cli_verify_select_writes_report(tmp_path, capsys):
     assert "PASS  parameter_law" in captured
     rep = read_report(out)
     assert rep["checks"][0]["name"] == "parameter_law"
+    assert rep["config"] == {"quick": True, "select": ["parameter_law"]}
+    assert main(["verify", "--quick", "--out", str(out)]) == 0
+    assert read_report(out)["config"] == {"quick": True, "select": None}
 
 
 def test_cli_verify_nan_projection_fails_without_traceback(monkeypatch, capsys):
@@ -104,6 +107,16 @@ def test_cli_bench_params_and_flops(tmp_path):
     assert main(["bench", "flops", "--out", str(out)]) == 0
     rep = read_report(out)
     assert rep["flops"]["meter"]["match"] is True
+
+
+def test_cli_bench_scaling_report_names_no_model(tmp_path, monkeypatch, capsys):
+    # the scaling fit uses no model, so its report's config holds none
+    monkeypatch.setattr(bench, "measure_wallclock", lambda: {"stub": 1.0})
+    out = tmp_path / "scaling.json"
+    assert main(["bench", "scaling", "--out", str(out)]) == 0
+    rep = read_report(out)
+    assert rep["config"] == {} and rep["scaling"]["wallclock"] == {"stub": 1.0}
+    capsys.readouterr()
 
 
 def test_cli_train_and_report_show(tmp_path, capsys):
@@ -345,10 +358,14 @@ def test_cli_unreadable_input_file_exits_2_with_one_line(tmp_path, capsys, comma
         ('{"train": {"lr": 0}}', ["train", "sine"]),
         ('{}', ["train", "sine", "--epochs", "0"]),  # overrides the default --epochs 1
         ('{"train": {"epochs": 3}}', ["train", "sine"]),  # set by --epochs
+        ('{"train": {"variant": "dense"}}', ["train", "sine"]),  # set by --variant
+        ('{"data": {"seed": 3}}', ["train", "sine"]),  # set by --seed
+        ('{"model": {"d_model": 8, "heads": 4}}', ["bench", "scaling"]),  # builds no model
     ],
     ids=["malformed-json", "unknown-train-key", "unknown-data-key", "train-seed", "zero-heads",
          "train-zero-heads", "non-integer", "narrow-ffn", "nan", "infinity", "negative-noise",
-         "dropout", "negative-lr", "zero-lr", "zero-epochs", "train-epochs"],
+         "dropout", "negative-lr", "zero-lr", "zero-epochs", "train-epochs", "train-variant",
+         "data-seed", "scaling-config"],
 )
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, text, command):
     cfg = tmp_path / "cfg.json"
@@ -357,3 +374,7 @@ def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, text, command):
     assert main(argv + ["--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    flag_set = re.fullmatch(r'\{"(\w+)": \{"(seed|epochs|variant)": .*', text)
+    if flag_set:  # a key only a flag sets names that flag
+        section, key = flag_set.groups()
+        assert f"{section}.{key} is set by --{key}, not by --config" in err

@@ -111,6 +111,22 @@ def test_from_dense_factors_rejects_off_block():
         monarch_from_dense_factors(4, bad, np.zeros((4, 4)))
 
 
+def test_from_dense_factors_compares_off_block_entries_with_zero():
+    # -0.0 == 0.0 off the blocks, and the blocks themselves are not checked;
+    # NaN, inf and the smallest nonzero differ from zero
+    for value, i, j, accepted in [(np.nan, 0, 1, True), (-0.0, 0, 3, True),
+                                  (np.nan, 0, 3, False), (np.inf, 3, 0, False),
+                                  (1e-300, 1, 2, False)]:
+        bad = block_diag_dense(np.ones((2, 2, 2)))
+        bad[i, j] = value
+        if accepted:
+            m = monarch_from_dense_factors(4, np.eye(4), bad)
+            assert np.array_equal(block_diag_dense(m.right.data), bad, equal_nan=True)
+        else:
+            with pytest.raises(DimensionError, match="R has nonzeros outside"):
+                monarch_from_dense_factors(4, np.eye(4), bad)
+
+
 def test_apply_dimension_errors():
     m = monarch_new(4, np.random.default_rng(4))
     with pytest.raises(DimensionError):
@@ -334,3 +350,35 @@ def test_grouped_apply_meter_and_shape_errors():
         monarch_to_dense(m)
     with pytest.raises(DimensionError):
         MonarchMatrix(stack(), Tensor(np.zeros((2, 2, 2, 2))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    b=st.integers(1, 12),
+    groups=st.integers(0, 3),  # 0: one ungrouped (b, b, b) stack
+    d=st.integers(1, 5),
+    side=st.sampled_from(["left", "right"]),
+    t_in=st.booleans(),
+    t_out=st.booleans(),
+    data=st.data(),
+)
+def test_x_gradient_is_the_apply_of_the_transpose(b, groups, d, side, t_in, t_out, data):
+    # dense(M)^T = P.R^T.P.L^T.P is the Monarch with factors (R^T, L^T); x's
+    # gradient is its apply to the output gradient, the two ends' layouts
+    # swapped and x's k rows kept, to the bit
+    n, g = b * b, max(groups, 1)
+    k = data.draw(st.integers(1, n), label="k")
+    size = data.draw(st.integers(1, n), label="size")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    shape = (g, b, b, b) if groups else (b, b, b)
+    m = MonarchMatrix(Tensor(rng.standard_normal(shape), requires_grad=True),
+                      Tensor(rng.standard_normal(shape), requires_grad=True))
+    in_rows = (side == "right") != t_in
+    x = Tensor(rng.standard_normal((d, g * k) if in_rows else (k, g * d)), requires_grad=True)
+    with tape_scope() as tape:
+        y = monarch_apply(m, x, side, size, t_in=t_in, t_out=t_out)
+        w = rng.standard_normal(y.shape)
+        tape.backward(T.sum_all(T.elementwise_mul(y, Tensor(w))))
+    mt = MonarchMatrix(Tensor(m.right.data.swapaxes(-1, -2)), Tensor(m.left.data.swapaxes(-1, -2)))
+    gx = monarch_apply(mt, Tensor(w), side, k, t_in=t_out, t_out=t_in)
+    assert np.array_equal(x.grad, gx.data)
