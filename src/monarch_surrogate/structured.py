@@ -12,6 +12,8 @@ over every group and block; the whole apply is a single tape node with a
 hand-written backward, and the right apply is the left apply of the
 transpose.  x's gradient is the apply of the transpose too, through the
 same routine: only the two factor gradients are products of their own.
+Each comes out laid out as its factor is stored, for either side, so it is
+contiguous, and goes into the factor's `grad_home` when the tape allows it.
 
 Each end of an apply, operand and result, is laid out one of two ways: the
 Monarch axis down the columns, (n, d), as a left apply takes and returns
@@ -233,6 +235,21 @@ def _chain(a: np.ndarray, first: np.ndarray, second: np.ndarray, g: int,
     return z, u, y.reshape(y.shape[0], -1)
 
 
+def _factor_grad(t: Tensor, other: Tensor, g: int, a: np.ndarray, c: np.ndarray, kept: int,
+                 rows: bool) -> np.ndarray:
+    """t's gradient a @ c, which fills only its leading `kept` block rows (or columns).
+
+    It is written into t's grad_home when the backward may (`tensor._home`),
+    else into a fresh array, and the rest is zeroed.
+    """
+    home = T._home(t, other)
+    out = np.empty(t.shape) if home is None else home
+    blocks = out.reshape(g, *t.shape[-3:])
+    np.matmul(a, c, out=blocks[..., :kept, :] if rows else blocks[..., :kept])
+    (blocks[..., kept:, :] if rows else blocks[..., kept:]).fill(0.0)
+    return out
+
+
 def monarch_apply(m: MonarchMatrix, x: Tensor, side: str, size: int | None = None, *,
                   t_in: bool = False, t_out: bool = False) -> Tensor:
     """Factored apply as one tape node; differentiable in x and both block stacks.
@@ -276,11 +293,15 @@ def monarch_apply(m: MonarchMatrix, x: Tensor, side: str, size: int | None = Non
     def bwd(grad):
         # x's gradient is the apply of the transpose, P.f^T.P.s^T.P, back to x's layout
         gv, gu, gx = _chain(grad, _t(s), _t(f), g, out_rows, in_rows, k)
-        ds = np.zeros((g, b, b, b))
-        np.matmul(gv, _t(u), out=ds[..., :mb, :])
-        df = np.zeros((g, b, b, b))
-        np.matmul(gu, _t(z), out=df[..., :kb])
-        return gx, orient(df).reshape(first.shape), orient(ds).reshape(second.shape)
+        # each factor's gradient in its stored orientation: a right apply's f and s
+        # are the transposed factors, so their gradients are the transposed products
+        if flip:
+            df = _factor_grad(first, second, g, z, _t(gu), kb, rows=True)
+            ds = _factor_grad(second, first, g, u, _t(gv), mb, rows=False)
+        else:
+            df = _factor_grad(first, second, g, gu, _t(z), kb, rows=False)
+            ds = _factor_grad(second, first, g, gv, _t(u), mb, rows=True)
+        return gx, df, ds
 
     flop_meter.add(g * monarch_apply_muladds(n, d, k, size))
     return T._record(out, bwd, x, first, second)

@@ -5,6 +5,13 @@ applications are recorded in execution order with their inputs.  A
 primitive's backward maps the output gradient to one gradient per input;
 ``backward`` replays the tape once, in reverse, and accumulates them in that
 fixed order, so repeated runs on fresh tapes are bit-identical.
+
+Aliasing rule: a backward never writes into a forward array.  It may write
+a leaf's *first* gradient into that leaf's `grad_home` (`_home`), when the
+leaf is given to its node once, and `accumulate_grad` then takes that array
+as the gradient without copying it; every later gradient is a fresh array
+added to it.  So no gradient shares memory with a tape output or with
+another tensor's gradient.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ class Tensor:
 
     `_node_id` is its index on the tape that recorded it, None if none did.
     `grad_home`, when set (an optimizer's buffer view), is the preallocated
-    array a first gradient is copied into, so no per-parameter gradient copy
-    is allocated.  Clear a gradient with `t.grad = None`.
+    array a first gradient is written into, so no per-parameter gradient is
+    allocated.  Clear a gradient with `t.grad = None`.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_node_id", "grad_home")
@@ -52,6 +59,8 @@ class Tensor:
             raise DimensionError(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
         if self.grad is not None:
             self.grad += g
+        elif g is self.grad_home:  # the backward wrote it in place
+            self.grad = g
         elif self.grad_home is not None:
             np.copyto(self.grad_home, g)
             self.grad = self.grad_home
@@ -126,6 +135,17 @@ def tape_scope() -> Iterator[Tape]:
         _active_tape = prev
 
 
+def _home(t: Tensor, *others: Tensor) -> np.ndarray | None:
+    """Where a backward may write t's gradient: t.grad_home while t has no gradient.
+
+    None as well when t is also one of its node's other inputs, whose
+    gradient would land in the same array.
+    """
+    if t.grad is None and not any(o is t for o in others):
+        return t.grad_home
+    return None
+
+
 def _record(out: Tensor, backward: Backward, *inputs: Tensor) -> Tensor:
     if _active_tape is not None and any(t.requires_grad or t._node_id is not None for t in inputs):
         _active_tape.record(out, backward, inputs)
@@ -160,9 +180,15 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record(Tensor(a.data * c), lambda g: (g * c,), a)
 
 
-def _sum_to_ndim(g: np.ndarray, ndim: int) -> np.ndarray:
-    """Sum a gradient over the leading axes a matmul operand was broadcast along."""
-    return g.sum(axis=tuple(range(g.ndim - ndim))) if g.ndim > ndim else g
+def _operand_grad(x: np.ndarray, y: np.ndarray, ndim: int, home: np.ndarray | None) -> np.ndarray:
+    """x @ y summed over the leading axes a matmul operand of ndim axes was broadcast along.
+
+    With none to sum, it is written into home when there is one.
+    """
+    if max(x.ndim, y.ndim) > ndim:
+        g = x @ y
+        return g.sum(axis=tuple(range(g.ndim - ndim)))
+    return np.matmul(x, y, out=home)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -174,8 +200,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def bwd(g):
-        return (_sum_to_ndim(g @ b.data.swapaxes(-1, -2), a.data.ndim),
-                _sum_to_ndim(a.data.swapaxes(-1, -2) @ g, b.data.ndim))
+        return (_operand_grad(g, b.data.swapaxes(-1, -2), a.data.ndim, _home(a, b)),
+                _operand_grad(a.data.swapaxes(-1, -2), g, b.data.ndim, _home(b, a)))
 
     return _record(out, bwd, a, b)
 
@@ -223,7 +249,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         m1 = mean(gy)
         m2 = mean(gy * xhat)
         lead = tuple(range(g.ndim - 1))
-        return inv * (gy - m1 - xhat * m2), (g * xhat).sum(axis=lead), g.sum(axis=lead)
+        return (inv * (gy - m1 - xhat * m2),
+                np.sum(g * xhat, axis=lead, out=_home(gain, a, bias)),
+                np.sum(g, axis=lead, out=_home(bias, a, gain)))
 
     return _record(out, bwd, a, gain, bias)
 

@@ -150,21 +150,25 @@ class Adam:
             self._layout.append((p, p.data))
 
     def step(self) -> None:
-        """Update m, v and each parameter in place, in the textbook op order.
+        """Update m, v and each parameter in place, in Kingma & Ba's reordered form.
 
         Every array op rounds as in m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g
-        and p -= lr*m_hat / (sqrt(v_hat) + eps), so the step is bit-identical
-        to that out-of-place formula.  Each parameter's .data must still be its
-        view of flat and its .grad its grad_home, where backward put it: a
-        gradient that is None or was set by hand raises ContractError before
-        any state changes.
+        and p -= lr_t*m / (sqrt(v) + eps_t), with lr_t = lr*sqrt(1-b2^t)/(1-b1^t)
+        and eps_t = eps*sqrt(1-b2^t), so the step is bit-identical to that
+        out-of-place formula.  It equals the textbook p -= lr*m_hat /
+        (sqrt(v_hat) + eps) in exact arithmetic, but not bit for bit: it rounds
+        differently and saves the two passes that form m_hat and v_hat.  Each
+        parameter's .data must still be its view of flat and its .grad its
+        grad_home, where backward put it: a gradient that is None or was set by
+        hand raises ContractError before any state changes.
         """
         for p, view in self._layout:
             if p.data is not view or p.grad is not p.grad_home:
                 raise ContractError(f"a {p.shape} parameter's .data or .grad is not its view of Adam's"
                                     " buffers; write .data in place and let backward fill .grad")
         self.t += 1
-        c1, c2 = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
+        root_c2 = math.sqrt(1.0 - self.beta2**self.t)
+        lr_t, eps_t = self.lr * root_c2 / (1.0 - self.beta1**self.t), self.eps * root_c2
         for s in range(0, self.flat.size, ADAM_CHUNK):
             p, g, m, v = self._state[:, s : s + ADAM_CHUNK]
             a, b = self._scratch[:, : p.size]
@@ -172,9 +176,9 @@ class Adam:
             m += np.multiply(g, 1.0 - self.beta1, out=a)
             v *= self.beta2
             v += np.multiply(np.multiply(g, 1.0 - self.beta2, out=a), g, out=a)
-            np.sqrt(np.divide(v, c2, out=a), out=a)
-            a += self.eps
-            p -= np.divide(np.multiply(np.divide(m, c1, out=b), self.lr, out=b), a, out=b)
+            np.sqrt(v, out=a)
+            a += eps_t
+            p -= np.divide(np.multiply(m, lr_t, out=b), a, out=b)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -1,6 +1,7 @@
 """Unit tests for the sine dataset pipeline and the training loop."""
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from monarch_surrogate.training import (
     forecaster_forward,
     train_forecaster,
 )
+from monarch_surrogate.structured import MonarchMatrix, monarch_apply, monarch_new
 from monarch_surrogate.tensor import Tensor, tape_scope
 
 
@@ -120,15 +122,44 @@ def test_adam_in_place_step_is_bit_identical_to_the_formula():
         opt.zero_grad()
         _linear_backward(params, grads)
         opt.step()
+        lr_t, eps_t = _reordered_rates(lr, eps, t)
         for i, g in enumerate(grads):
             m[i] = b1 * m[i] + (1.0 - b1) * g
             v[i] = b2 * v[i] + (1.0 - b2) * g * g
-            m_hat = m[i] / (1.0 - b1**t)
-            v_hat = v[i] / (1.0 - b2**t)
-            ref[i] = ref[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            ref[i] = ref[i] - lr_t * m[i] / (np.sqrt(v[i]) + eps_t)
         assert all(np.array_equal(p.data, r) for p, r in zip(params, ref))
         assert np.array_equal(opt.m, np.concatenate([x.ravel() for x in m]))
         assert np.array_equal(opt.v, np.concatenate([x.ravel() for x in v]))
+
+
+def test_adam_step_is_within_1e_12_of_the_textbook_formula():
+    # the reordered step equals lr * m_hat / (sqrt(v_hat) + eps) in exact
+    # arithmetic; each step starts from zero parameters, so -p is the step itself
+    rng = np.random.default_rng(6)
+    params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in [(7,), (40, 900)]]
+    m = [np.zeros(p.shape) for p in params]
+    v = [np.zeros(p.shape) for p in params]
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+    opt = Adam(params, lr=lr)
+    for t in range(1, 9):
+        grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-9, 2) for p in params]
+        opt.zero_grad()
+        _linear_backward(params, grads)
+        opt.flat[...] = 0.0
+        opt.step()
+        for p, g, mi, vi in zip(params, grads, m, v):
+            mi[...] = b1 * mi + (1.0 - b1) * g
+            vi[...] = b2 * vi + (1.0 - b2) * g * g
+            step = lr * (mi / (1.0 - b1**t)) / (np.sqrt(vi / (1.0 - b2**t)) + eps)
+            np.testing.assert_allclose(-p.data, step, rtol=1e-12, atol=0.0)
+        assert np.array_equal(opt.m, np.concatenate([x.ravel() for x in m]))
+        assert np.array_equal(opt.v, np.concatenate([x.ravel() for x in v]))
+
+
+def _reordered_rates(lr: float, eps: float, t: int) -> tuple[float, float]:
+    """Kingma & Ba's step size lr * sqrt(1 - b2^t) / (1 - b1^t) and eps * sqrt(1 - b2^t)."""
+    root_c2 = np.sqrt(1.0 - 0.999**t)
+    return lr * root_c2 / (1.0 - 0.9**t), eps * root_c2
 
 
 @pytest.mark.parametrize("fault", ["rebound data", "no gradient", "hand-set gradient"])
@@ -155,7 +186,7 @@ def test_adam_refuses_a_parameter_off_its_buffers_before_any_state_changes(fault
 
 def test_training_steps_keep_parameters_and_gradients_in_the_flat_buffers():
     # two train_forecaster-style steps at the sine config, the second after a
-    # perfbench-style `p.grad = None`, against per-tensor textbook Adam
+    # perfbench-style `p.grad = None`, against per-tensor reordered Adam
     t = TrainConfig()
     lr, b1, b2, eps = t.lr, 0.9, 0.999, 1e-8
     for variant in ("surrogate", "dense"):
@@ -177,8 +208,8 @@ def test_training_steps_keep_parameters_and_gradients_in_the_flat_buffers():
                 assert np.shares_memory(p.data, opt.flat) and np.shares_memory(p.grad, opt.grads)
                 m[i] = b1 * m[i] + (1.0 - b1) * p.grad
                 v[i] = b2 * v[i] + (1.0 - b2) * p.grad * p.grad
-                ref[i] = ref[i] - lr * (m[i] / (1.0 - b1**step)) / (
-                    np.sqrt(v[i] / (1.0 - b2**step)) + eps)
+                lr_t, eps_t = _reordered_rates(lr, eps, step)
+                ref[i] = ref[i] - lr_t * m[i] / (np.sqrt(v[i]) + eps_t)
             opt.step()
             assert all(np.array_equal(p.data, r) for p, r in zip(ps, ref)), variant
 
@@ -250,26 +281,90 @@ def test_tape_nodes_per_training_step(shape, nodes):
 
 
 def test_no_dense_parameter_gets_a_strided_first_gradient(monkeypatch):
-    # accumulate_grad copies a first gradient into the parameter's grad_home;
-    # from a strided view that copy costs several times a contiguous one
+    # no parameter of either variant gets a copied first gradient, strided or
+    # not: each backward writes it into the parameter's grad_home, and
+    # accumulate_grad takes that array as it is
     t = TrainConfig()
-    rng = np.random.default_rng(0)
-    params = ForecasterParams.create("dense", 48, 24, t.d_model, t.heads, t.layers, t.d_ff, rng)
-    wanted = {id(p) for p in params.parameters()}
-    strided = []
+    copied = []
     accumulate = Tensor.accumulate_grad
 
     def spy(self, g):
-        if id(self) in wanted and self.grad is None and not g.flags.c_contiguous:
-            strided.append(self.shape)
+        if self.grad_home is not None and self.grad is None and g is not self.grad_home:
+            copied.append(self.shape)
         accumulate(self, g)
 
     monkeypatch.setattr(Tensor, "accumulate_grad", spy)
+    shapes = [(48, 24, t.d_model, t.heads, t.d_ff),  # the sine config
+              (30, 7, 12, 2, 40)]  # padded: sequence 36, head Monarchs 9 for 6, FFN 49
+    for variant, (l_in, l_out, d_model, heads, d_ff) in itertools.product(
+            ("surrogate", "dense"), shapes):
+        rng = np.random.default_rng(0)
+        params = ForecasterParams.create(variant, l_in, l_out, d_model, heads, 1, d_ff, rng)
+        ps = params.parameters()
+        Adam(ps, lr=t.lr)
+        with tape_scope() as tape:
+            pred = forecaster_forward(Tensor(rng.standard_normal((l_in, 1))), params)
+            diff = T.sub(pred, Tensor(rng.standard_normal((1, l_out))))
+            tape.backward(T.mean_all(T.elementwise_mul(diff, diff)))
+        assert all(p.grad is p.grad_home for p in ps), (variant, l_in)
+    assert copied == []
+
+
+def _graph_with_a_leaf_met_twice(case: str):
+    """Leaves and a scalar loss builder for a graph where one leaf gets two gradients."""
+    rng = np.random.default_rng(8)
+    leaf = lambda *shape: Tensor(rng.standard_normal(shape), requires_grad=True)
+    readout = lambda y: T.sum_all(T.elementwise_mul(y, Tensor(rng.standard_normal(y.shape))))
+    if case == "matmul-a-a":
+        a = leaf(5, 5)
+        return [a], lambda: readout(T.matmul(a, a))
+    if case == "one-weight-two-matmuls":
+        w, x = leaf(4, 4), Tensor(rng.standard_normal((6, 4)))
+        return [w], lambda: readout(T.matmul(T.matmul(x, w), w))
+    if case == "layer-norm-gain-is-bias":
+        w, x = leaf(6), Tensor(rng.standard_normal((3, 6)))
+        return [w], lambda: readout(T.layer_norm(x, w, w))
+    if case == "monarch-twice":
+        m, x = monarch_new(16, rng), Tensor(rng.standard_normal((13, 5)))
+        return m.parameters(), lambda: readout(
+            monarch_apply(m, monarch_apply(m, x, "left", 15), "right", 14))
+    f, x = leaf(3, 3, 3), Tensor(rng.standard_normal((4, 8)))  # "monarch-left-is-right"
+    return [f], lambda: readout(monarch_apply(MonarchMatrix(f, f), x, "right"))
+
+
+@pytest.mark.parametrize("case", ["matmul-a-a", "one-weight-two-matmuls",
+                                  "layer-norm-gain-is-bias", "monarch-twice",
+                                  "monarch-left-is-right"])
+def test_gradients_written_in_place_equal_the_unbound_ones(case):
+    # the leaf's first gradient may go straight into its grad_home; its second
+    # must not land there as well, nor the first be counted twice
+    grads = []
+    for bound in (True, False):
+        leaves, loss = _graph_with_a_leaf_met_twice(case)
+        if bound:
+            opt = Adam(leaves, lr=1e-3)
+        with tape_scope() as tape:
+            tape.backward(loss())
+        grads.append([p.grad.copy() for p in leaves])
+    opt.zero_grad()
+    assert all(np.array_equal(a, b) for a, b in zip(*grads))
+
+
+@pytest.mark.parametrize("variant", ["surrogate", "dense"])
+def test_no_parameter_gradient_shares_memory_with_a_forward_array_or_another_gradient(variant):
+    rng = np.random.default_rng(9)
+    params = ForecasterParams.create(variant, 30, 7, 12, 2, 1, 40, rng)
+    ps = params.parameters()
+    opt = Adam(ps, lr=1e-3)
     with tape_scope() as tape:
-        pred = forecaster_forward(Tensor(rng.standard_normal((48, 1))), params)
-        diff = T.sub(pred, Tensor(rng.standard_normal((1, 24))))
+        pred = forecaster_forward(Tensor(rng.standard_normal((30, 1))), params)
+        diff = T.sub(pred, Tensor(rng.standard_normal((1, 7))))
         tape.backward(T.mean_all(T.elementwise_mul(diff, diff)))
-    assert strided == []
+    outputs = [out.data for out, _, _ in tape._nodes]
+    for i, p in enumerate(ps):
+        assert not any(np.shares_memory(p.grad, y) for y in outputs), p.shape
+        assert not any(np.shares_memory(p.grad, q.grad) for q in ps[i + 1:]), p.shape
+    opt.step()
 
 
 def _tiny_dataset():
