@@ -21,14 +21,13 @@ sizes) is read off them once, at construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigurationError, DimensionError
-from .structured import MonarchMatrix, monarch_apply, monarch_new, pad_to_square
+from .structured import MonarchMatrix, _draw, monarch_apply, monarch_new, pad_to_square
 from .tensor import Tensor
 
 
@@ -98,13 +97,9 @@ class SurrogateAttentionParams:
         n_pad = pad_to_square(n_seq)
         m1 = monarch_new(n_pad, rng=rng)
         m2 = monarch_new(n_pad, rng=rng)
-        b = math.isqrt(d_head)
-
-        def stack() -> MonarchMatrix:  # one draw, in the order of monarch_new's L then R per head
-            factors = rng.normal(0.0, d_head**-0.25, (heads, 2, b, b, b))
-            return MonarchMatrix(*(Tensor(factors[:, i].copy(), requires_grad=True) for i in (0, 1)))
-
-        q_stack, k_stack, v_stack = stack(), stack(), stack()
+        q_stack, k_stack, v_stack = (
+            MonarchMatrix(*(Tensor(f, requires_grad=True) for f in _draw(d_head, heads, rng)))
+            for _ in range(3))
         # one draw of heads * d_head rows fills the rows the per-head draws would
         w_stack = Tensor(rng.normal(0.0, d_head**-0.5, (heads * d_head, d_in)), requires_grad=True)
         return cls(q_stack, k_stack, v_stack, m1, m2, w_stack)

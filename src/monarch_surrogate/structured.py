@@ -12,8 +12,9 @@ over every group and block; the whole apply is a single tape node with a
 hand-written backward, and the right apply is the left apply of the
 transpose.  x's gradient is the apply of the transpose too, through the
 same routine: only the two factor gradients are products of their own.
-Each comes out laid out as its factor is stored, for either side, so it is
-contiguous, and goes into the factor's `grad_home` when the tape allows it.
+Each is its factor's output gradient times its input, transposed, in the
+frame the apply used, stored transposed when the apply used the factor's
+transpose; it goes into the factor's `grad_home` when the tape allows it.
 
 Each end of an apply, operand and result, is laid out one of two ways: the
 Monarch axis down the columns, (n, d), as a left apply takes and returns
@@ -56,12 +57,15 @@ class PermutationSpec:
     map: np.ndarray = field(repr=False)
 
 
-def permutation_spec(n: int) -> PermutationSpec:
+def _root(n: int) -> int:
+    """The block size b = sqrt(n) of a Monarch of size n, a perfect square."""
     if n < 1 or math.isqrt(n) ** 2 != n:
-        raise DimensionError(
-            f"permutation_spec requires a perfect-square size, got {n}; use pad_to_square first"
-        )
-    b = math.isqrt(n)
+        raise DimensionError(f"Monarch size {n} is not a perfect square; use pad_to_square first")
+    return math.isqrt(n)
+
+
+def permutation_spec(n: int) -> PermutationSpec:
+    b = _root(n)
     i = np.arange(n)
     return PermutationSpec(b=b, map=i // b + b * (i % b))
 
@@ -99,9 +103,11 @@ def monarch_apply_muladds(n: int, d: int, k: int | None = None, size: int | None
     first, ceil(size/b) for the second; 2 * n^{3/2} * d when k = size = n.
     A grouped Monarch costs this once per group, with d, k, size per group.
     """
-    b = math.isqrt(n)
+    b = _root(n)
     k = n if k is None else k
     size = n if size is None else size
+    if not (1 <= k <= n and 1 <= size <= n):
+        raise DimensionError(f"k={k} and size={size} must lie in 1..{n}")
     return b * b * d * (-(-k // b) + -(-size // b))
 
 
@@ -140,23 +146,25 @@ class MonarchMatrix:
     parameters = T.parameters
 
 
-def monarch_new(n: int, rng: np.random.Generator) -> MonarchMatrix:
-    """Create a Monarch matrix of perfect-square size n with learnable factors.
+def _draw(n: int, groups: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The (groups, b, b, b) L and R stacks of `groups` Monarchs of size n.
 
-    Block entries are drawn from normal(0, 1/sqrt(n)) (variance 1/b, i.e.
-    per-block fan-in).
+    One draw, L then R per group, from normal(0, 1/sqrt(n)) (variance 1/b,
+    i.e. per-block fan-in); one group's stacks are views of it.
     """
-    b = permutation_spec(n).b
-    std = n ** -0.25  # variance 1/sqrt(n)
-    return MonarchMatrix(
-        left=Tensor(rng.normal(0.0, std, (b, b, b)), requires_grad=True),
-        right=Tensor(rng.normal(0.0, std, (b, b, b)), requires_grad=True),
-    )
+    b = _root(n)
+    f = rng.normal(0.0, n**-0.25, (groups, 2, b, b, b))
+    return np.ascontiguousarray(f[:, 0]), np.ascontiguousarray(f[:, 1])
+
+
+def monarch_new(n: int, rng: np.random.Generator) -> MonarchMatrix:
+    """Create a Monarch matrix of perfect-square size n with learnable factors: one `_draw`."""
+    return MonarchMatrix(*(Tensor(f[0], requires_grad=True) for f in _draw(n, 1, rng)))
 
 
 def monarch_from_dense_factors(n: int, l_dense: np.ndarray, r_dense: np.ndarray) -> MonarchMatrix:
     """Build from dense L and R that equal their diagonal blocks laid out (NaN matching NaN)."""
-    b = permutation_spec(n).b
+    b = _root(n)
     stacks = []
     for name, mat in (("L", l_dense), ("R", r_dense)):
         if mat.shape != (n, n):
@@ -235,18 +243,20 @@ def _chain(a: np.ndarray, first: np.ndarray, second: np.ndarray, g: int,
     return z, u, y.reshape(y.shape[0], -1)
 
 
-def _factor_grad(t: Tensor, other: Tensor, g: int, a: np.ndarray, c: np.ndarray, kept: int,
-                 rows: bool) -> np.ndarray:
-    """t's gradient a @ c, which fills only its leading `kept` block rows (or columns).
+def _factor_grad(t: Tensor, other: Tensor, gy: np.ndarray, x: np.ndarray, flip: bool) -> np.ndarray:
+    """gy @ x^T, the gradient of the factor the apply used (t, or t^T if flip), stored as t is.
 
-    It is written into t's grad_home when the backward may (`tensor._home`),
-    else into a fresh array, and the rest is zeroed.
+    It fills each block's leading corner; the rest met only padding and is
+    zero.  It goes into t's grad_home when the backward may (`tensor._home`).
     """
     home = T._home(t, other)
     out = np.empty(t.shape) if home is None else home
-    blocks = out.reshape(g, *t.shape[-3:])
-    np.matmul(a, c, out=blocks[..., :kept, :] if rows else blocks[..., :kept])
-    (blocks[..., kept:, :] if rows else blocks[..., kept:]).fill(0.0)
+    blocks = out.reshape(-1, *t.shape[-3:])  # (g, b, b, b), grouped or not
+    a, c = (x, gy) if flip else (gy, x)
+    r, k = a.shape[-2], c.shape[-2]
+    np.matmul(a, _t(c), out=blocks[..., :r, :k])
+    blocks[..., r:, :].fill(0.0)
+    blocks[..., :r, k:].fill(0.0)
     return out
 
 
@@ -293,15 +303,9 @@ def monarch_apply(m: MonarchMatrix, x: Tensor, side: str, size: int | None = Non
     def bwd(grad):
         # x's gradient is the apply of the transpose, P.f^T.P.s^T.P, back to x's layout
         gv, gu, gx = _chain(grad, _t(s), _t(f), g, out_rows, in_rows, k)
-        # each factor's gradient in its stored orientation: a right apply's f and s
-        # are the transposed factors, so their gradients are the transposed products
-        if flip:
-            df = _factor_grad(first, second, g, z, _t(gu), kb, rows=True)
-            ds = _factor_grad(second, first, g, u, _t(gv), mb, rows=False)
-        else:
-            df = _factor_grad(first, second, g, gu, _t(z), kb, rows=False)
-            ds = _factor_grad(second, first, g, gv, _t(u), mb, rows=True)
-        return gx, df, ds
+        # f maps the grid z to u and s maps u to v; a right apply's are transposed
+        return (gx, _factor_grad(first, second, gu, z, flip),
+                _factor_grad(second, first, gv, u, flip))
 
     flop_meter.add(g * monarch_apply_muladds(n, d, k, size))
     return T._record(out, bwd, x, first, second)

@@ -211,7 +211,8 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def mean_all(a: Tensor) -> Tensor:
-    return scale(sum_all(a), 1.0 / a.data.size)
+    c = 1.0 / a.data.size
+    return _record(Tensor(a.data.sum() * c), lambda g: (np.full_like(a.data, float(g) * c),), a)
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,8 @@ class VerifyConfig:
 
 def run_all(config: VerifyConfig | None = None) -> list[CheckResult]:
     config = config or VerifyConfig()
+    if "" in (config.select or ()):
+        raise ConfigurationError("select holds an empty name, which every check name contains")
     checks: list[CheckResult] = []
 
     def keep(name: str) -> bool:

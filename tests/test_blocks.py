@@ -20,7 +20,7 @@ from monarch_surrogate.blocks import (
 from monarch_surrogate.data import build_dataset
 from monarch_surrogate.errors import ConfigurationError, DimensionError
 from monarch_surrogate.reference import DenseMHSAParams
-from monarch_surrogate.structured import pad_to_square
+from monarch_surrogate.structured import _draw, monarch_new, pad_to_square
 from monarch_surrogate.tensor import LAYER_NORM_EPS, Tensor, tape_scope
 from monarch_surrogate.training import DenseLayerParams, ForecasterParams
 from monarch_surrogate.verification import (
@@ -50,6 +50,30 @@ def test_attention_params_shapes():
     # built straight from the stacks, the params read heads and d_in off them
     q = SurrogateAttentionParams(p.q_stack, p.k_stack, p.v_stack, p.m1, p.m2, p.w_stack)
     assert (q.heads, q.d_in, q.head_width, q.d_head, q.n_pad) == (4, 32, 8, 9, 100)
+
+
+@pytest.mark.parametrize("n_seq, d_in, heads", [(48, 16, 2), (96, 32, 4), (10, 6, 3), (4, 4, 1)])
+def test_attention_stacks_hold_the_factors_monarch_new_draws(n_seq, d_in, heads):
+    # one seed: after M1 and M2, Q, K and V each hold, head by head, what
+    # successive monarch_new calls of the head size would draw
+    p = SurrogateAttentionParams.create(n_seq, d_in, heads, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    stacks = (p.q_stack, p.k_stack, p.v_stack)
+    got = [(p.m1.left.data, p.m1.right.data), (p.m2.left.data, p.m2.right.data)]
+    got += [(s.left.data[h], s.right.data[h]) for s in stacks for h in range(heads)]
+    sizes = [p.n_pad] * 2 + [p.d_head] * (3 * heads)
+    for (left, right), n in zip(got, sizes, strict=True):
+        m = monarch_new(n, rng)
+        assert np.array_equal(left, m.left.data) and np.array_equal(right, m.right.data)
+    assert all(t.data.flags.c_contiguous for s in stacks for t in (s.left, s.right))
+    # and monarch_new is a one-group draw: L then R, each normal(0, n^-1/4)
+    for n in (1, 9, p.n_pad):
+        b = round(n**0.5)
+        m = monarch_new(n, np.random.default_rng(n))
+        draw = np.random.default_rng(n).normal(0.0, n**-0.25, (2, b, b, b))
+        assert np.array_equal(np.stack([m.left.data, m.right.data]), draw)
+        left, right = _draw(n, 1, np.random.default_rng(n))
+        assert np.array_equal(left[0], m.left.data) and np.array_equal(right[0], m.right.data)
 
 
 def test_attention_rejects_indivisible_heads():

@@ -300,6 +300,12 @@ def test_cli_verify_select_with_no_name_exits_2_with_one_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: no check name contains any of []"]
+    # an empty name is contained in every check name; it must not select them all
+    assert main(["verify", "--quick", "--select", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: select holds an empty name, which every check name contains"]
 
 
 def test_cli_verify_with_no_gradient_probe_exits_2_with_one_line(monkeypatch, capsys):

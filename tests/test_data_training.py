@@ -260,8 +260,8 @@ def test_sfb_entries_that_meet_only_padding_get_no_gradient_and_stay_put(shape, 
 
 
 @pytest.mark.parametrize("shape, nodes", [
-    ("sine", {"surrogate": 22, "dense": 25}),
-    ("paper", {"surrogate": 37, "dense": 43}),
+    ("sine", {"surrogate": 21, "dense": 24}),
+    ("paper", {"surrogate": 36, "dense": 42}),
 ])
 def test_tape_nodes_per_training_step(shape, nodes):
     # the step train_forecaster takes: forecast, squared error, mean

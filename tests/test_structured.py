@@ -152,6 +152,15 @@ def test_meter_counts_factored_cost():
     assert monarch_apply_muladds(256, 1) == 8192
 
 
+@pytest.mark.parametrize("n, d, k, size", [(10, 3, None, None), (0, 3, None, None),
+                                           (9, 3, 10, None), (9, 3, 0, None),
+                                           (9, 3, None, 10), (9, 3, None, 0)])
+def test_muladds_reject_an_apply_that_cannot_run(n, d, k, size):
+    # a non-square size, or k or size outside 1..n, has no apply to price
+    with pytest.raises(DimensionError):
+        monarch_apply_muladds(n, d, k, size)
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("k, size", [(256, 256), (200, 256), (256, 37), (1, 1), (17, 240)])
 def test_meter_counts_factor_nonzeros_times_columns(side, k, size):

@@ -106,6 +106,12 @@ def test_run_all_select_filters():
         V.run_all(V.VerifyConfig(select=["no_such_check"]))
 
 
+@pytest.mark.parametrize("select", [[""], ["lti", ""]])
+def test_run_all_rejects_an_empty_select_name(select):
+    # "" is a substring of every check name: it would run the whole suite
+    with pytest.raises(ConfigurationError, match="empty name"):
+        V.run_all(V.VerifyConfig(select=select))
+
 
 def test_a_check_that_runs_no_trial_raises():
     # a fold over no trial shows nothing: it must not report a pass
